@@ -2,7 +2,7 @@
 cross-entropy and label-smoothing losses."""
 
 from .config import OptimizerConfig, ProblemConfig
-from .core import ModelState, smooth_labels, softmax_cols, ufm_gradient, ufm_loss
+from .core import ModelState, loss_and_grad, smooth_labels, softmax_cols, ufm_loss
 from .closed_form import (
     class_probabilities,
     global_minimizer,
@@ -20,7 +20,7 @@ __all__ = [
     "softmax_cols",
     "smooth_labels",
     "ufm_loss",
-    "ufm_gradient",
+    "loss_and_grad",
     "logit_scale",
     "class_probabilities",
     "partial_orthogonal",

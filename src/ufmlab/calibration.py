@@ -8,11 +8,11 @@ and average prediction entropy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import softmax_cols
+from .core import log_softmax_cols, softmax_cols
 
 T_SEARCH_LOG_BOUNDS = (math.log(0.05), math.log(20.0))
 T_SEARCH_TOL = 1e-4
@@ -117,9 +117,7 @@ def ece(ds: LogitDataset, bins: int = 20) -> CalibrationReport:
 
 def nll(ds: LogitDataset, T: float = 1.0) -> float:
     """Mean negative log-likelihood of softmax(logits / T)."""
-    Z = ds.logits / T
-    shifted = Z - Z.max(axis=0, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=0, keepdims=True))
+    logp = log_softmax_cols(ds.logits / T)
     return float(-logp[ds.labels, np.arange(ds.M)].mean())
 
 

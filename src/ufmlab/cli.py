@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: solve, optimize, spectrum, sweep, calibrate, check.
+Subcommands: solve, optimize, spectrum, sweep, race, calibrate, check.
 Configs are YAML trees; matrices are headerless CSV (one row per line);
 label files hold one 1-based class index per line; reports are JSON.
 Exit codes: 0 success, 1 failed checks, 2 config/validation error,
@@ -13,7 +13,8 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, replace
+import typing
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,11 +28,10 @@ from .closed_form import (
     logit_scale,
     mean_logit_matrix,
     optimal_loss,
-    partial_orthogonal,
 )
 from .config import OptimizerConfig, ProblemConfig
-from .core import ModelState, gradient_norm, softmax_cols, ufm_loss
-from .descent import DivergenceError
+from .core import gradient_norm
+from .descent import DivergenceError, RaceRow, SweepRow, TrajectoryRow
 
 FORMAT_VERSION = 1
 
@@ -45,28 +45,48 @@ class ConfigError(ValueError):
     pass
 
 
+def _exact(key: str, value, typ: type):
+    """value as typ; YAML 1.1 reads 5e-1 as a string, so strings are parsed."""
+    if not isinstance(value, bool):
+        try:
+            number = float(value)
+            if typ is float:
+                return number
+            if isinstance(value, int):
+                return value
+            if number.is_integer():
+                return int(number)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ConfigError(f"{key} must be {'an integer' if typ is int else 'a number'}, got {value!r}")
+
+
+def _section(cls, raw: dict, name: str) -> dict:
+    """Keyword arguments of cls from one YAML section (keys are field names in lower case)."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{name} must be a mapping")
+    types = typing.get_type_hints(cls)
+    keys = {f.name.lower(): f.name for f in fields(cls)}
+    unknown = sorted(set(raw) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown key {name}.{unknown[0]}")
+    return {keys[k]: _exact(f"{name}.{k}", v, types[keys[k]]) for k, v in raw.items()}
+
+
 def load_config(path: str, seed_override: int | None = None):
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh) or {}
     except (OSError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    prob_raw = raw.get("problem", {})
-    opt_raw = dict(raw.get("optimizer", {}))
+    prob_raw = _section(ProblemConfig, raw.get("problem", {}), "problem")
+    opt_raw = _section(OptimizerConfig, raw.get("optimizer", {}), "optimizer")
     if seed_override is not None:
         opt_raw["seed"] = seed_override
     try:
-        cfg = ProblemConfig(
-            K=int(prob_raw["k"]),
-            n=int(prob_raw["n"]),
-            d=int(prob_raw["d"]),
-            delta=float(prob_raw.get("delta", 0.0)),
-            lambda_w=float(prob_raw.get("lambda_w", 5e-3)),
-            lambda_h=float(prob_raw.get("lambda_h", 5e-3)),
-            lambda_b=float(prob_raw.get("lambda_b", 5e-3)),
-        )
-        opt = OptimizerConfig(**{k: v for k, v in opt_raw.items()})
-    except (KeyError, TypeError, ValueError) as exc:
+        cfg = ProblemConfig(**prob_raw)
+        opt = OptimizerConfig(**opt_raw)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
     return cfg, opt, raw
 
@@ -94,6 +114,16 @@ def _json_default(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)}")
+
+
+def write_csv(path: Path, header: list[str], rows):
+    """Header line plus one line per row; None is written as an empty field."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(["" if v is None else v for v in row])
 
 
 def write_report(path: Path, payload: dict):
@@ -145,22 +175,14 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-TRAJECTORY_COLUMNS = [
-    "iter", "loss", "nc1", "nc2", "nc3",
-    "w_norm", "h_mean_norm", "grad_norm", "loss_gap",
-]
+TRAJECTORY_COLUMNS = [f.name for f in fields(TrajectoryRow)]
 
 
 def cmd_optimize(args) -> int:
     cfg, opt, _ = load_config(args.config, args.seed)
     out = Path(args.out)
     traj = descent.run(cfg, opt)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "trajectory.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_COLUMNS)
-        for row in traj.rows:
-            writer.writerow([getattr(row, c) for c in TRAJECTORY_COLUMNS])
+    write_csv(out / "trajectory.csv", TRAJECTORY_COLUMNS, map(astuple, traj.rows))
     final = traj.rows[-1]
     summary = {
         "format_version": FORMAT_VERSION,
@@ -193,33 +215,37 @@ def _spectrum_dict(report: spectral.SpectrumReport) -> dict:
     }
 
 
+def _hessian_section(analytic: spectral.SpectrumReport, hessian: np.ndarray,
+                     degenerate: bool = False) -> dict:
+    """Analytic and numeric spectra of one Hessian from a single eigensolve."""
+    vals = np.linalg.eigvalsh(hessian)
+    dev, mults = spectral.compare_to_analytic(analytic, vals)
+    return {
+        "analytic": _spectrum_dict(analytic),
+        "numeric": _spectrum_dict(spectral.numeric_spectrum(vals, degenerate)),
+        "max_relative_deviation": dev,
+        "multiplicities_match": mults,
+    }
+
+
 def cmd_spectrum(args) -> int:
     cfg, opt, _ = load_config(args.config, args.seed)
     out = Path(args.out)
     state = global_minimizer(cfg)
-    ana_h = spectral.analytic_feature_hessian_spectrum(cfg)
-    num_h_vals = np.linalg.eigvalsh(spectral.numeric_hessian_features(state, cfg)[0])
-    dev_h, mults_h = spectral.compare_to_analytic(ana_h, num_h_vals)
     payload = {
         "format_version": FORMAT_VERSION,
         "config": resolved_config_dict(cfg, opt),
-        "feature_hessian": {
-            "analytic": _spectrum_dict(ana_h),
-            "numeric": _spectrum_dict(spectral.numeric_feature_spectrum(state, cfg)),
-            "max_relative_deviation": dev_h,
-            "multiplicities_match": mults_h,
-        },
+        "feature_hessian": _hessian_section(
+            spectral.analytic_feature_hessian_spectrum(cfg),
+            spectral.numeric_hessian_features(state, cfg)[0],
+            degenerate=cfg.K == 2,
+        ),
     }
     if cfg.K >= 3:
-        ana_w = spectral.analytic_classifier_hessian_spectrum(cfg)
-        num_w_vals = np.linalg.eigvalsh(spectral.numeric_hessian_classifier(state, cfg))
-        dev_w, mults_w = spectral.compare_to_analytic(ana_w, num_w_vals)
-        payload["classifier_hessian"] = {
-            "analytic": _spectrum_dict(ana_w),
-            "numeric": _spectrum_dict(spectral.numeric_classifier_spectrum(state, cfg)),
-            "max_relative_deviation": dev_w,
-            "multiplicities_match": mults_w,
-        }
+        payload["classifier_hessian"] = _hessian_section(
+            spectral.analytic_classifier_hessian_spectrum(cfg),
+            spectral.numeric_hessian_classifier(state, cfg),
+        )
     else:
         payload["classifier_hessian"] = {"skipped": "requires K >= 3"}
     write_report(out / "spectrum.json", payload)
@@ -227,10 +253,7 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-SWEEP_COLUMNS = [
-    "delta", "a_delta", "w_norm", "kappa_h", "kappa_w",
-    "iters_to_eps", "nc1", "nc2", "nc3",
-]
+SWEEP_COLUMNS = [f.name for f in fields(SweepRow)]
 
 
 def cmd_sweep(args) -> int:
@@ -243,14 +266,7 @@ def cmd_sweep(args) -> int:
     if not deltas:
         raise ConfigError("no deltas given (use --deltas or sweep.deltas in config)")
     rows = descent.delta_sweep(cfg, deltas, opt)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                ["" if getattr(row, c) is None else getattr(row, c) for c in SWEEP_COLUMNS]
-            )
+    write_csv(out / "sweep.csv", SWEEP_COLUMNS, map(astuple, rows))
     summary = {
         "format_version": FORMAT_VERSION,
         "config": resolved_config_dict(cfg, opt),
@@ -259,6 +275,27 @@ def cmd_sweep(args) -> int:
     }
     write_report(out / "sweep.json", summary)
     print(f"wrote {out / 'sweep.csv'} and {out / 'sweep.json'}")
+    return EXIT_OK
+
+
+def cmd_race(args) -> int:
+    cfg, opt, _ = load_config(args.config, args.seed)
+    out = Path(args.out)
+    if cfg.delta == 0.0:
+        raise ConfigError("race needs problem.delta > 0 to race against delta = 0")
+    rows = descent.convergence_race(cfg, opt)
+    write_csv(out / "race.csv", [f.name for f in fields(RaceRow)], map(astuple, rows))
+    wins = sum(r.smoothing_won for r in rows)
+    summary = {
+        "format_version": FORMAT_VERSION,
+        "config": resolved_config_dict(cfg, opt),
+        "seeds": [r.seed for r in rows],
+        "rel_eps": descent.RACE_REL_EPS,
+        "smoothing_wins": wins,
+    }
+    write_report(out / "race.json", summary)
+    print(f"smoothing won {wins}/{len(rows)} seeds; "
+          f"wrote {out / 'race.csv'} and {out / 'race.json'}")
     return EXIT_OK
 
 
@@ -277,12 +314,9 @@ def cmd_calibrate(args) -> int:
         holdout_fraction=args.holdout_fraction,
         seed=args.seed if args.seed is not None else 0,
     )
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "reliability.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_lower", "bin_upper", "confidence", "accuracy", "count"])
-        for b in report.bins:
-            writer.writerow([b.lower, b.upper, b.mean_confidence, b.accuracy, b.count])
+    write_csv(out / "reliability.csv",
+              ["bin_lower", "bin_upper", "confidence", "accuracy", "count"],
+              map(astuple, report.bins))
     payload = {
         "format_version": FORMAT_VERSION,
         "bins": args.bins,
@@ -390,6 +424,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deltas", help="comma-separated smoothing values")
     p.set_defaults(func=cmd_sweep)
 
+    p = sub.add_parser("race", help="descent race of delta = 0 against the config's delta")
+    add_common(p)
+    p.set_defaults(func=cmd_race)
+
     p = sub.add_parser("calibrate", help="calibration report for (logits, labels)")
     p.add_argument("logits", help="headerless CSV, K rows x M columns")
     p.add_argument("labels", help="one 1-based class index per line")
@@ -414,10 +452,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceError as exc:

@@ -9,12 +9,11 @@ zero once sqrt(KN) * lambda_z + delta >= 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ProblemConfig
-from .core import ModelState, one_hot_labels, softmax_cols
+from .core import ModelState, one_hot_labels
 
 
 def logit_scale(cfg: ProblemConfig) -> float:
@@ -57,26 +56,6 @@ def simplex_etf_core(K: int) -> np.ndarray:
 def mean_logit_matrix(cfg: ProblemConfig) -> np.ndarray:
     """Optimal class-mean logit matrix a * (K I - 11^T)."""
     return logit_scale(cfg) * simplex_etf_core(cfg.K)
-
-
-@dataclass(frozen=True)
-class SimplexETFFactors:
-    """Building blocks of the closed-form minimizer."""
-
-    P: np.ndarray
-    a_delta: float
-    p_t: float
-    p_n: float
-
-
-def etf_factors(cfg: ProblemConfig, seed: int | None = None) -> SimplexETFFactors:
-    p_t, p_n = class_probabilities(cfg)
-    return SimplexETFFactors(
-        P=partial_orthogonal(cfg.d, cfg.K, seed),
-        a_delta=logit_scale(cfg),
-        p_t=p_t,
-        p_n=p_n,
-    )
 
 
 def minimizer_scales(cfg: ProblemConfig) -> tuple[float, float]:
@@ -148,8 +127,3 @@ def solve_logit_scale_by_bisection(cfg: ProblemConfig, tol: float = 1e-14) -> fl
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def softmax_check(cfg: ProblemConfig) -> np.ndarray:
-    """Softmax of the optimal mean logit columns (columns are pbar_k)."""
-    return softmax_cols(mean_logit_matrix(cfg))

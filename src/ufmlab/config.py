@@ -33,8 +33,14 @@ class ProblemConfig:
         if not 0.0 <= self.delta < 1.0:
             raise ValueError(f"delta must be in [0, 1), got {self.delta}")
         for name in ("lambda_w", "lambda_h", "lambda_b"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if self.lambda_z == 0.0:
+            raise ValueError(
+                f"lambda_w * lambda_h underflows to 0 (lambda_w={self.lambda_w}, "
+                f"lambda_h={self.lambda_h})"
+            )
 
     @property
     def N(self) -> int:

@@ -44,14 +44,26 @@ class ModelState:
         return self.W.T @ self.H + self.b[:, None]
 
 
+def _softmax_parts(Z: np.ndarray):
+    """Max-shifted columns, their exponentials and the column sums of those."""
+    shifted = Z - Z.max(axis=0, keepdims=True)
+    e = np.exp(shifted)
+    return shifted, e, e.sum(axis=0, keepdims=True)
+
+
 def softmax_cols(Z: np.ndarray) -> np.ndarray:
     """Column-wise softmax with per-column max subtraction."""
     Z = np.asarray(Z, dtype=float)
     if not np.all(np.isfinite(Z)):
         raise ValueError("softmax_cols: input contains non-finite entries")
-    shifted = Z - Z.max(axis=0, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=0, keepdims=True)
+    _, e, s = _softmax_parts(Z)
+    return e / s
+
+
+def log_softmax_cols(Z: np.ndarray) -> np.ndarray:
+    # Slicing drops the exponentials before the result is allocated.
+    shifted, s = _softmax_parts(Z)[::2]
+    return shifted - np.log(s)
 
 
 def one_hot_labels(K: int, n: int) -> np.ndarray:
@@ -70,46 +82,51 @@ def smooth_labels(Y: np.ndarray, delta: float) -> np.ndarray:
     return (1.0 - delta) * Y + delta / K
 
 
-def log_softmax_cols(Z: np.ndarray) -> np.ndarray:
-    shifted = Z - Z.max(axis=0, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=0, keepdims=True))
-
-
 def cross_entropy_cols(Z: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Per-column cross entropy of softmax(Z) against target columns T."""
     return (T * -log_softmax_cols(Z)).sum(axis=0)
 
 
-def ufm_loss(state: ModelState, cfg: ProblemConfig) -> float:
-    """Regularized smoothed-label risk L(W, H, b)."""
+def _forward(state: ModelState, cfg: ProblemConfig):
+    """Loss, smoothed targets and softmax parts: the pass the gradient reuses.
+
+    Non-finite logits are not rejected here; they make the loss non-finite,
+    which callers treat as divergence.
+    """
     state.check_shapes(cfg)
-    Y = one_hot_labels(cfg.K, cfg.n)
-    Yd = smooth_labels(Y, cfg.delta)
-    ce = cross_entropy_cols(state.logits(), Yd).sum() / cfg.N
+    Yd = smooth_labels(one_hot_labels(cfg.K, cfg.n), cfg.delta)
+    shifted, e, s = _softmax_parts(state.logits())
+    ce = (Yd * -(shifted - np.log(s))).sum(axis=0).sum() / cfg.N
     reg = (
         0.5 * cfg.lambda_w * np.sum(state.W**2)
         + 0.5 * cfg.lambda_h * np.sum(state.H**2)
         + 0.5 * cfg.lambda_b * np.sum(state.b**2)
     )
-    return float(ce + reg)
+    return float(ce + reg), Yd, e, s
 
 
-def ufm_gradient(state: ModelState, cfg: ProblemConfig):
-    """Exact gradient blocks (G_W, G_H, g_b) of ufm_loss."""
-    state.check_shapes(cfg)
-    Y = one_hot_labels(cfg.K, cfg.n)
-    Yd = smooth_labels(Y, cfg.delta)
-    P = softmax_cols(state.logits())
-    dZ = (P - Yd) / cfg.N
+def ufm_loss(state: ModelState, cfg: ProblemConfig) -> float:
+    """Regularized smoothed-label risk L(W, H, b)."""
+    return _forward(state, cfg)[0]
+
+
+def loss_and_grad(state: ModelState, cfg: ProblemConfig):
+    """ufm_loss and its exact gradient blocks (G_W, G_H, g_b) from one forward pass."""
+    loss, Yd, e, s = _forward(state, cfg)
+    dZ = (e / s - Yd) / cfg.N
     G_W = state.H @ dZ.T + cfg.lambda_w * state.W
     G_H = state.W @ dZ + cfg.lambda_h * state.H
     g_b = dZ.sum(axis=1) + cfg.lambda_b * state.b
-    return G_W, G_H, g_b
+    return loss, (G_W, G_H, g_b)
+
+
+def grad_blocks_norm(grads) -> float:
+    """Euclidean norm of the gradient blocks (G_W, G_H, g_b) taken together."""
+    return float(np.sqrt(sum(np.sum(g**2) for g in grads)))
 
 
 def gradient_norm(state: ModelState, cfg: ProblemConfig) -> float:
-    G_W, G_H, g_b = ufm_gradient(state, cfg)
-    return float(np.sqrt(np.sum(G_W**2) + np.sum(G_H**2) + np.sum(g_b**2)))
+    return grad_blocks_norm(loss_and_grad(state, cfg)[1])
 
 
 def _smoothed_ce(p: np.ndarray, target: int, delta: float) -> tuple[float, bool]:

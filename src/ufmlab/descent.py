@@ -9,13 +9,13 @@ minimizer's orthogonal factor is not unique.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .config import OptimizerConfig, ProblemConfig
 from .closed_form import global_minimizer, logit_scale, mean_logit_matrix, optimal_loss
-from .core import ModelState, gradient_norm, ufm_gradient, ufm_loss
+from .core import ModelState, grad_blocks_norm, loss_and_grad
 from . import nc_metrics
 from . import spectral
 
@@ -63,7 +63,7 @@ def init_state(cfg: ProblemConfig, opt: OptimizerConfig) -> ModelState:
     )
 
 
-def _metrics_row(state, cfg, it, loss, L_star) -> TrajectoryRow:
+def _metrics_row(state, cfg, it, loss, grad_norm, L_star) -> TrajectoryRow:
     fs = nc_metrics.FeatureSet.from_state(state, cfg)
     try:
         v1 = nc_metrics.nc1(fs)
@@ -83,7 +83,7 @@ def _metrics_row(state, cfg, it, loss, L_star) -> TrajectoryRow:
         nc3=v3,
         w_norm=w_norm,
         h_mean_norm=h_norm,
-        grad_norm=gradient_norm(state, cfg),
+        grad_norm=grad_norm,
         loss_gap=loss - L_star,
     )
 
@@ -108,29 +108,30 @@ def run(
     traj = Trajectory(optimal_value=L_star)
     losses = []
 
-    def record(it, loss):
+    def record(it, loss, grads):
+        grad_norm = grad_blocks_norm(grads)
         if compute_metrics:
-            traj.rows.append(_metrics_row(state, cfg, it, loss, L_star))
+            traj.rows.append(_metrics_row(state, cfg, it, loss, grad_norm, L_star))
         else:
             traj.rows.append(
                 TrajectoryRow(it, loss, np.nan, np.nan, np.nan, np.nan, np.nan,
-                              gradient_norm(state, cfg), loss - L_star)
+                              grad_norm, loss - L_star)
             )
 
     it = 0
     while True:
-        loss = ufm_loss(state, cfg)
+        loss, grads = loss_and_grad(state, cfg)
         losses.append(loss)
         if not np.isfinite(loss) or loss > DIVERGENCE_LOSS:
             raise DivergenceError(f"loss diverged at iteration {it}: {loss}")
         converged = loss - L_star < opt.loss_tol
         if it % opt.record_every == 0 or converged or it == opt.max_iters:
             if not traj.rows or traj.rows[-1].iter != it:
-                record(it, loss)
+                record(it, loss, grads)
         if converged or it >= opt.max_iters:
             traj.converged = converged
             break
-        G_W, G_H, g_b = ufm_gradient(state, cfg)
+        G_W, G_H, g_b = grads
         vel_W = opt.momentum * vel_W - opt.learning_rate * G_W
         vel_H = opt.momentum * vel_H - opt.learning_rate * G_H
         vel_b = opt.momentum * vel_b - opt.learning_rate * g_b
@@ -173,15 +174,17 @@ class SweepRow:
     nc1: float
     nc2: float
     nc3: float
-    degenerate: bool = False
+
+    @property
+    def degenerate(self) -> bool:
+        """Zero logit scale: the optimum collapses to the origin."""
+        return self.a_delta == 0.0
 
 
 def delta_sweep(
     cfg_base: ProblemConfig, deltas, opt: OptimizerConfig
 ) -> list[SweepRow]:
     """One descent run plus analytic quantities per smoothing value."""
-    from dataclasses import replace
-
     rows = []
     for delta in deltas:
         if not 0.0 <= delta < 1.0:
@@ -190,8 +193,7 @@ def delta_sweep(
         a = logit_scale(cfg)
         star = global_minimizer(cfg)
         w_norm = float(np.linalg.norm(star.W))
-        degenerate = a == 0.0
-        if degenerate:
+        if a == 0.0:
             kappa_h = kappa_w = float("nan")
         else:
             kappa_h = spectral.analytic_feature_hessian_spectrum(cfg).condition_number
@@ -214,7 +216,41 @@ def delta_sweep(
                 nc1=last.nc1,
                 nc2=last.nc2,
                 nc3=last.nc3,
-                degenerate=degenerate,
             )
         )
+    return rows
+
+
+# The race's seed count and its target: this fraction of the initial loss gap.
+RACE_SEEDS = 10
+RACE_REL_EPS = 1e-4
+
+
+@dataclass
+class RaceRow:
+    seed: int
+    iters_ce: int | None  # delta = 0
+    iters_ls: int | None  # the smoothed run
+    smoothing_won: bool
+
+
+def convergence_race(cfg: ProblemConfig, opt: OptimizerConfig) -> list[RaceRow]:
+    """Race delta = 0 against cfg.delta from RACE_SEEDS shared initializations.
+
+    Seeds run from opt.seed upwards; each run counts the iterations until
+    the loss gap falls below RACE_REL_EPS times its initial value (None if
+    max_iters comes first).
+    """
+    rows = []
+    for seed in range(opt.seed, opt.seed + RACE_SEEDS):
+        iters = []
+        for delta in (0.0, cfg.delta):
+            traj = run(replace(cfg, delta=delta), replace(opt, seed=seed),
+                       compute_metrics=False)
+            init_gap = traj.loss_history[0] - traj.optimal_value
+            iters.append(iterations_to_epsilon(
+                traj, traj.optimal_value, RACE_REL_EPS * init_gap))
+        ce, ls = iters
+        won = ls is not None and (ce is None or ls < ce)
+        rows.append(RaceRow(seed, ce, ls, won))
     return rows

@@ -205,23 +205,13 @@ def compare_to_analytic(
     return max_dev, mults_ok
 
 
-def numeric_feature_spectrum(state: ModelState, cfg: ProblemConfig) -> SpectrumReport:
-    """Eigen-decomposition of the first per-class feature block."""
-    block = numeric_hessian_features(state, cfg)[0]
-    vals = np.linalg.eigvalsh(block)
+def numeric_spectrum(vals: np.ndarray, degenerate: bool = False) -> SpectrumReport:
+    """Numeric report from ascending eigenvalues of an assembled Hessian.
+
+    The report is flagged degenerate when the spectrum is all zero, or when
+    the caller says so (a K = 2 feature block has one nonzero eigenvalue).
+    """
     pairs = cluster_eigenvalues(vals)
     lam_max = vals[-1]
-    degenerate = lam_max <= 0.0 or cfg.K == 2
     kappa = math.nan if lam_max <= 0.0 else condition_number(vals)
-    return SpectrumReport(pairs, kappa, "numeric", degenerate)
-
-
-def numeric_classifier_spectrum(state: ModelState, cfg: ProblemConfig) -> SpectrumReport:
-    """Eigen-decomposition of the assembled classifier Hessian."""
-    M = numeric_hessian_classifier(state, cfg)
-    vals = np.linalg.eigvalsh(M)
-    pairs = cluster_eigenvalues(vals)
-    lam_max = vals[-1]
-    degenerate = lam_max <= 0.0
-    kappa = math.nan if lam_max <= 0.0 else condition_number(vals)
-    return SpectrumReport(pairs, kappa, "numeric", degenerate)
+    return SpectrumReport(pairs, kappa, "numeric", degenerate or lam_max <= 0.0)

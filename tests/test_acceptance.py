@@ -16,7 +16,7 @@ from ufmlab.closed_form import (
     mean_logit_matrix,
     solve_logit_scale_by_bisection,
 )
-from ufmlab.core import gradient_norm, softmax_cols, ufm_gradient, ufm_loss
+from ufmlab.core import gradient_norm, loss_and_grad, softmax_cols, ufm_loss
 from ufmlab.descent import iterations_to_epsilon, run
 from ufmlab.nc_metrics import FeatureSet, centered_class_means, nc1, nc2, nc3
 from ufmlab.spectral import (
@@ -55,7 +55,7 @@ def test_criterion_1_gradient_correctness():
                             d=int(rng.integers(K, 7)),
                             delta=float(rng.uniform(0, 0.5)))
         state = random_state(cfg, rng, scale=0.8)
-        G_W, G_H, g_b = ufm_gradient(state, cfg)
+        G_W, G_H, g_b = loss_and_grad(state, cfg)[1]
         analytic = np.concatenate([G_W.ravel(), G_H.ravel(), g_b])
         numeric = fd_gradient(cfg, state)
         worst = max(worst, np.linalg.norm(analytic - numeric)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import yaml
 
-from ufmlab.cli import main
+from ufmlab import spectral
+from ufmlab.cli import load_config, main
 from ufmlab.core import softmax_cols
 
 
@@ -110,6 +111,17 @@ class TestSpectrum:
             kappas[delta] = report["feature_hessian"]["analytic"]["condition_number"]
         assert kappas[0.1] < kappas[0.0]
 
+    def test_one_assembly_per_hessian(self, tmp_path, monkeypatch):
+        counts = {}
+        for name in ("numeric_hessian_features", "numeric_hessian_classifier"):
+            def counted(*args, _fn=getattr(spectral, name), _name=name, **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(spectral, name, counted)
+        cfg = write_config(tmp_path / "c.yaml", REF_PROBLEM)
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert counts == {"numeric_hessian_features": 1, "numeric_hessian_classifier": 1}
+
 
 class TestSweep:
     def test_csv_columns_and_monotone_scale(self, tmp_path):
@@ -134,6 +146,66 @@ class TestSweep:
     def test_no_deltas_exit_2(self, tmp_path):
         cfg = write_config(tmp_path / "c.yaml", REF_PROBLEM, REF_OPTIMIZER)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+RACE_PROBLEM = {"k": 10, "n": 5, "d": 12, "delta": 0.1,
+                "lambda_w": 5e-3, "lambda_h": 5e-3}
+RACE_OPTIMIZER = {"learning_rate": 10.0, "momentum": 0.0, "max_iters": 30000,
+                  "loss_tol": 1e-12, "record_every": 10**9, "seed": 0}
+
+
+class TestRace:
+    def test_smoothing_wins(self, tmp_path):
+        cfg = write_config(tmp_path / "c.yaml", RACE_PROBLEM, RACE_OPTIMIZER)
+        out = tmp_path / "o"
+        assert main(["race", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "race.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["seed"]) for r in rows] == list(range(10))
+        wins = sum(r["smoothing_won"] == "True" for r in rows)
+        assert wins >= 9
+        report = json.loads((out / "race.json").read_text())
+        assert report["smoothing_wins"] == wins
+
+    def test_zero_delta_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.yaml", dict(RACE_PROBLEM, delta=0.0),
+                           RACE_OPTIMIZER)
+        assert main(["race", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "problem.delta" in capsys.readouterr().err
+
+
+class TestConfigBoundary:
+    def run_solve(self, tmp_path, text):
+        path = tmp_path / "c.yaml"
+        path.write_text(text)
+        return main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
+
+    def test_nan_lambda_exit_2_names_field(self, tmp_path, capsys):
+        assert self.run_solve(tmp_path, "problem: {k: 3, n: 2, d: 4, lambda_w: .nan}\n") == 2
+        assert "lambda_w" in capsys.readouterr().err
+
+    def test_underflowing_lambdas_exit_2(self, tmp_path, capsys):
+        text = "problem: {k: 3, n: 2, d: 4, delta: 0.0, lambda_w: 1.0e-200, lambda_h: 1.0e-200}\n"
+        assert self.run_solve(tmp_path, text) == 2
+        assert "lambda_w * lambda_h" in capsys.readouterr().err
+
+    def test_yaml11_exponent_floats(self, tmp_path):
+        # YAML 1.1 reads 5e-1 and 5e4 (no dot) as strings
+        path = tmp_path / "c.yaml"
+        path.write_text("problem: {k: 3, n: 2, d: 4, delta: 1e-1}\n"
+                        "optimizer: {learning_rate: 5e-1, loss_tol: 1e-7, max_iters: 5e4}\n")
+        cfg, opt, _ = load_config(str(path))
+        assert cfg.delta == 0.1
+        assert opt.learning_rate == 0.5 and opt.loss_tol == 1e-7
+        assert opt.max_iters == 50_000 and type(opt.max_iters) is int
+        assert main(["optimize", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("entry", ["max_iters: 2.5", "seed: true", "learning_rate: fast",
+                                       "learnin_rate: 0.5"])
+    def test_bad_optimizer_value_exit_2_names_field(self, tmp_path, capsys, entry):
+        text = f"problem: {{k: 3, n: 2, d: 4}}\noptimizer: {{{entry}}}\n"
+        assert self.run_solve(tmp_path, text) == 2
+        assert f"optimizer.{entry.split(':')[0]}" in capsys.readouterr().err
 
 
 class TestCalibrate:

@@ -9,11 +9,11 @@ from ufmlab.config import ProblemConfig
 from ufmlab.core import (
     ModelState,
     SATURATION_VALUE,
+    loss_and_grad,
     ls_equalization_gap,
     one_hot_labels,
     smooth_labels,
     softmax_cols,
-    ufm_gradient,
     ufm_loss,
 )
 
@@ -130,7 +130,7 @@ class TestGradient:
         rng = np.random.default_rng(7)
         cfg = ProblemConfig(K=3, n=2, d=4, delta=0.1)
         state = random_state(cfg, rng)
-        G_W, G_H, g_b = ufm_gradient(state, cfg)
+        G_W, G_H, g_b = loss_and_grad(state, cfg)[1]
         analytic = np.concatenate([G_W.ravel(), G_H.ravel(), g_b])
         numeric = fd_gradient(cfg, state)
         rel = np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)
@@ -140,7 +140,7 @@ class TestGradient:
         # balanced classes make the uniform-prediction gradient cancel
         cfg = ProblemConfig(K=4, n=3, d=5, delta=0.2)
         state = ModelState(np.zeros((5, 4)), np.zeros((5, 12)), np.zeros(4))
-        G_W, G_H, g_b = ufm_gradient(state, cfg)
+        G_W, G_H, g_b = loss_and_grad(state, cfg)[1]
         assert np.allclose(G_W, 0) and np.allclose(G_H, 0)
         assert np.allclose(g_b, 0, atol=1e-15)
 
@@ -152,7 +152,7 @@ class TestGradient:
             n = int(rng.integers(1, 4))
             cfg = ProblemConfig(K=K, n=n, d=d, delta=float(rng.uniform(0, 0.5)))
             state = random_state(cfg, rng, scale=0.8)
-            G_W, G_H, g_b = ufm_gradient(state, cfg)
+            G_W, G_H, g_b = loss_and_grad(state, cfg)[1]
             analytic = np.concatenate([G_W.ravel(), G_H.ravel(), g_b])
             numeric = fd_gradient(cfg, state)
             rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-12)

@@ -3,10 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ufmlab import core, descent
 from ufmlab.config import OptimizerConfig, ProblemConfig
 from ufmlab.closed_form import global_minimizer, mean_logit_matrix
 from ufmlab.descent import (
     DivergenceError,
+    convergence_race,
     Trajectory,
     TrajectoryRow,
     delta_sweep,
@@ -88,6 +90,25 @@ class TestRun:
         assert hits >= 9
 
 
+    @pytest.mark.parametrize("compute_metrics", [True, False])
+    def test_one_loss_and_grad_pass_per_iteration(self, monkeypatch, compute_metrics):
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # core's own binding catches gradient_norm and any other gradient use
+        monkeypatch.setattr(descent, "loss_and_grad", counted(core.loss_and_grad))
+        monkeypatch.setattr(core, "loss_and_grad", counted(core.loss_and_grad))
+        opt = replace(REF_OPT, loss_tol=1e-8, record_every=7)
+        traj = run(REF_CFG, opt, compute_metrics=compute_metrics)
+        assert traj.converged and len(traj.rows) > 2
+        assert calls == ["loss_and_grad"] * (traj.rows[-1].iter + 1)
+
+
 class TestIterationsToEpsilon:
     def test_start_below_epsilon(self):
         state = global_minimizer(REF_CFG)
@@ -128,6 +149,18 @@ class TestRace:
             if iters[0.1] is not None and (iters[0.0] is None or iters[0.1] < iters[0.0]):
                 wins += 1
         assert wins >= 9
+
+    def test_seeds_start_at_optimizer_seed(self):
+        opt = replace(REF_OPT, loss_tol=1e-6, seed=5)
+        rows = convergence_race(REF_CFG, opt)
+        assert [r.seed for r in rows] == list(range(5, 15))
+        for r in rows:
+            ce = run(replace(REF_CFG, delta=0.0), replace(opt, seed=r.seed),
+                     compute_metrics=False)
+            gap = ce.loss_history - ce.optimal_value
+            assert r.iters_ce == iterations_to_epsilon(ce, ce.optimal_value, 1e-4 * gap[0])
+            assert r.smoothing_won == (r.iters_ls is not None and
+                                       (r.iters_ce is None or r.iters_ls < r.iters_ce))
 
 
 class TestDeltaSweep:
