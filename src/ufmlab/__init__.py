@@ -1,8 +1,8 @@
 """Numerical laboratory for the unconstrained feature model under
 cross-entropy and label-smoothing losses."""
 
-from .config import OptimizerConfig, ProblemConfig
-from .core import ModelState, loss_and_grad, smooth_labels, softmax_cols, ufm_loss
+from .config import OptimizerConfig, ProblemConfig, smooth_labels
+from .core import ModelState, loss_and_grad, softmax_cols, ufm_loss
 from .closed_form import (
     class_probabilities,
     global_minimizer,

@@ -76,9 +76,12 @@ def _section(cls, raw: dict, name: str) -> dict:
 def load_config(path: str, seed_override: int | None = None):
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh) or {}
+            raw = yaml.safe_load(fh)
     except (OSError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    raw = {} if raw is None else raw
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} must be a mapping, got {type(raw).__name__}")
     prob_raw = _section(ProblemConfig, raw.get("problem", {}), "problem")
     opt_raw = _section(OptimizerConfig, raw.get("optimizer", {}), "optimizer")
     if seed_override is not None:
@@ -92,18 +95,9 @@ def load_config(path: str, seed_override: int | None = None):
 
 
 def resolved_config_dict(cfg: ProblemConfig, opt: OptimizerConfig) -> dict:
-    return {
-        "problem": {
-            "k": cfg.K,
-            "n": cfg.n,
-            "d": cfg.d,
-            "delta": cfg.delta,
-            "lambda_w": cfg.lambda_w,
-            "lambda_h": cfg.lambda_h,
-            "lambda_b": cfg.lambda_b,
-        },
-        "optimizer": asdict(opt),
-    }
+    """The config tree that load_config reads back to (cfg, opt)."""
+    return {name: {k.lower(): v for k, v in asdict(obj).items()}
+            for name, obj in (("problem", cfg), ("optimizer", opt))}
 
 
 def _json_default(obj):
@@ -133,6 +127,24 @@ def write_report(path: Path, payload: dict):
         fh.write("\n")
 
 
+def _publish(out: str, name: str, payload: dict, config=None, tables=(), lead="") -> int:
+    """Write a command's outputs under out and print their paths after lead.
+
+    tables holds (file name, header, dataclass rows) CSV tables; the JSON
+    report <name>.json is payload plus format_version and, when config is
+    (cfg, opt), the resolved config.
+    """
+    out, paths = Path(out), []
+    for filename, header, rows in tables:
+        paths.append(out / filename)
+        write_csv(paths[-1], header, map(astuple, rows))
+    paths.append(out / f"{name}.json")
+    echo = {} if config is None else {"config": resolved_config_dict(*config)}
+    write_report(paths[-1], {"format_version": FORMAT_VERSION, **echo, **payload})
+    print(f"{lead}wrote {' and '.join(map(str, paths))}")
+    return EXIT_OK
+
+
 def read_matrix(path: str) -> np.ndarray:
     try:
         return np.loadtxt(path, delimiter=",", ndmin=2)
@@ -153,14 +165,11 @@ def read_labels(path: str) -> np.ndarray:
 
 def cmd_solve(args) -> int:
     cfg, opt, _ = load_config(args.config, args.seed)
-    out = Path(args.out)
     a = logit_scale(cfg)
     p_t, p_n = class_probabilities(cfg)
     state = global_minimizer(cfg)
     h_bar = class_mean_matrix(cfg)
-    report = {
-        "format_version": FORMAT_VERSION,
-        "config": resolved_config_dict(cfg, opt),
+    return _publish(args.out, "solve", {
         "a_delta": a,
         "p_t": p_t,
         "p_n": p_n,
@@ -169,24 +178,14 @@ def cmd_solve(args) -> int:
         "optimal_loss": optimal_loss(cfg),
         "mean_logit_matrix": mean_logit_matrix(cfg).tolist(),
         "stationarity_residual": gradient_norm(state, cfg),
-    }
-    write_report(out / "solve.json", report)
-    print(f"wrote {out / 'solve.json'}")
-    return EXIT_OK
-
-
-TRAJECTORY_COLUMNS = [f.name for f in fields(TrajectoryRow)]
+    }, config=(cfg, opt))
 
 
 def cmd_optimize(args) -> int:
     cfg, opt, _ = load_config(args.config, args.seed)
-    out = Path(args.out)
     traj = descent.run(cfg, opt)
-    write_csv(out / "trajectory.csv", TRAJECTORY_COLUMNS, map(astuple, traj.rows))
     final = traj.rows[-1]
-    summary = {
-        "format_version": FORMAT_VERSION,
-        "config": resolved_config_dict(cfg, opt),
+    return _publish(args.out, "optimize", {
         "converged": traj.converged,
         "iterations": final.iter,
         "final_loss": final.loss,
@@ -197,10 +196,8 @@ def cmd_optimize(args) -> int:
         "final_nc2": final.nc2,
         "final_nc3": final.nc3,
         "mean_logit_distance": descent.mean_logit_distance(traj.final_state, cfg),
-    }
-    write_report(out / "optimize.json", summary)
-    print(f"wrote {out / 'trajectory.csv'} and {out / 'optimize.json'}")
-    return EXIT_OK
+    }, config=(cfg, opt),
+        tables=[("trajectory.csv", [f.name for f in fields(TrajectoryRow)], traj.rows)])
 
 
 def _spectrum_dict(report: spectral.SpectrumReport) -> dict:
@@ -230,11 +227,8 @@ def _hessian_section(analytic: spectral.SpectrumReport, hessian: np.ndarray,
 
 def cmd_spectrum(args) -> int:
     cfg, opt, _ = load_config(args.config, args.seed)
-    out = Path(args.out)
     state = global_minimizer(cfg)
     payload = {
-        "format_version": FORMAT_VERSION,
-        "config": resolved_config_dict(cfg, opt),
         "feature_hessian": _hessian_section(
             spectral.analytic_feature_hessian_spectrum(cfg),
             spectral.numeric_hessian_features(state, cfg)[0],
@@ -248,17 +242,11 @@ def cmd_spectrum(args) -> int:
         )
     else:
         payload["classifier_hessian"] = {"skipped": "requires K >= 3"}
-    write_report(out / "spectrum.json", payload)
-    print(f"wrote {out / 'spectrum.json'}")
-    return EXIT_OK
-
-
-SWEEP_COLUMNS = [f.name for f in fields(SweepRow)]
+    return _publish(args.out, "spectrum", payload, config=(cfg, opt))
 
 
 def cmd_sweep(args) -> int:
     cfg, opt, raw = load_config(args.config, args.seed)
-    out = Path(args.out)
     if args.deltas:
         deltas = [float(x) for x in args.deltas.split(",")]
     else:
@@ -266,41 +254,28 @@ def cmd_sweep(args) -> int:
     if not deltas:
         raise ConfigError("no deltas given (use --deltas or sweep.deltas in config)")
     rows = descent.delta_sweep(cfg, deltas, opt)
-    write_csv(out / "sweep.csv", SWEEP_COLUMNS, map(astuple, rows))
-    summary = {
-        "format_version": FORMAT_VERSION,
-        "config": resolved_config_dict(cfg, opt),
+    return _publish(args.out, "sweep", {
         "deltas": deltas,
         "degenerate_deltas": [r.delta for r in rows if r.degenerate],
-    }
-    write_report(out / "sweep.json", summary)
-    print(f"wrote {out / 'sweep.csv'} and {out / 'sweep.json'}")
-    return EXIT_OK
+    }, config=(cfg, opt), tables=[("sweep.csv", [f.name for f in fields(SweepRow)], rows)])
 
 
 def cmd_race(args) -> int:
     cfg, opt, _ = load_config(args.config, args.seed)
-    out = Path(args.out)
     if cfg.delta == 0.0:
         raise ConfigError("race needs problem.delta > 0 to race against delta = 0")
     rows = descent.convergence_race(cfg, opt)
-    write_csv(out / "race.csv", [f.name for f in fields(RaceRow)], map(astuple, rows))
     wins = sum(r.smoothing_won for r in rows)
-    summary = {
-        "format_version": FORMAT_VERSION,
-        "config": resolved_config_dict(cfg, opt),
+    return _publish(args.out, "race", {
         "seeds": [r.seed for r in rows],
         "rel_eps": descent.RACE_REL_EPS,
         "smoothing_wins": wins,
-    }
-    write_report(out / "race.json", summary)
-    print(f"smoothing won {wins}/{len(rows)} seeds; "
-          f"wrote {out / 'race.csv'} and {out / 'race.json'}")
-    return EXIT_OK
+    }, config=(cfg, opt),
+        tables=[("race.csv", [f.name for f in fields(RaceRow)], rows)],
+        lead=f"smoothing won {wins}/{len(rows)} seeds; ")
 
 
 def cmd_calibrate(args) -> int:
-    out = Path(args.out)
     logits = read_matrix(args.logits)
     labels = read_labels(args.labels)
     try:
@@ -314,11 +289,7 @@ def cmd_calibrate(args) -> int:
         holdout_fraction=args.holdout_fraction,
         seed=args.seed if args.seed is not None else 0,
     )
-    write_csv(out / "reliability.csv",
-              ["bin_lower", "bin_upper", "confidence", "accuracy", "count"],
-              map(astuple, report.bins))
-    payload = {
-        "format_version": FORMAT_VERSION,
+    return _publish(args.out, "calibration", {
         "bins": args.bins,
         "ece": report.ece,
         "accuracy": report.accuracy,
@@ -328,10 +299,8 @@ def cmd_calibrate(args) -> int:
         "nll_after": report.nll_after,
         "temperature_flag": report.temperature_flag,
         "samples": ds.M,
-    }
-    write_report(out / "calibration.json", payload)
-    print(f"wrote {out / 'reliability.csv'} and {out / 'calibration.json'}")
-    return EXIT_OK
+    }, tables=[("reliability.csv",
+                ["bin_lower", "bin_upper", "confidence", "accuracy", "count"], report.bins)])
 
 
 def run_property_checks(perturb: float = 0.0, seed: int = 0):

@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from .config import ProblemConfig
-from .core import ModelState, one_hot_labels
+from .config import ProblemConfig, one_hot_labels
+from .core import ModelState
 
 
 def logit_scale(cfg: ProblemConfig) -> float:

@@ -1,9 +1,33 @@
-"""Problem and optimizer configuration dataclasses."""
+"""Problem and optimizer configuration dataclasses, and the label matrices."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
+
+
+def one_hot_labels(K: int, n: int) -> np.ndarray:
+    """Class-major one-hot label matrix Y (K x nK)."""
+    labels = np.repeat(np.arange(K), n)
+    Y = np.zeros((K, K * n))
+    Y[labels, np.arange(K * n)] = 1.0
+    return Y
+
+
+def smooth_labels(Y: np.ndarray, delta: float) -> np.ndarray:
+    """Smoothed targets (1 - delta) * Y + delta / K."""
+    if not 0.0 <= delta <= 1.0:
+        raise ValueError(f"delta must be in [0, 1], got {delta}")
+    K = Y.shape[0]
+    return (1.0 - delta) * Y + delta / K
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -12,7 +36,10 @@ class ProblemConfig:
 
     K classes, n samples per class, feature dimension d, smoothing
     parameter delta in [0, 1), and L2 weights for the classifier,
-    the features, and the bias.
+    the features, and the bias.  The sample layout is class-major:
+    column k*n + i holds sample i of class k.  `labels` and `targets` are
+    built on first use and cached on the instance (read-only arrays);
+    `dataclasses.replace` gives a config with a fresh cache.
     """
 
     K: int
@@ -52,6 +79,16 @@ class ProblemConfig:
         """Geometric mean of the classifier and feature weights."""
         return math.sqrt(self.lambda_w * self.lambda_h)
 
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """Class index of each sample column (length N)."""
+        return _read_only(np.repeat(np.arange(self.K), self.n))
+
+    @cached_property
+    def targets(self) -> np.ndarray:
+        """Smoothed one-hot targets (1 - delta) Y + delta / K (K x N)."""
+        return _read_only(smooth_labels(one_hot_labels(self.K, self.n), self.delta))
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -66,6 +103,10 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("learning_rate", "loss_tol", "init_scale"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be positive")
         if not 0.0 <= self.momentum < 1.0:

@@ -3,7 +3,8 @@
 Matrix conventions: the classifier W is d x K, the feature matrix H is
 d x N with column (k*n + i) holding sample i of class k (classes are
 0-based), and the bias b is a K-vector.  Labels are stored one-hot as a
-K x N matrix Y.
+K x N matrix Y; the smoothed targets come from ProblemConfig.targets, which
+is built once per problem.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ProblemConfig
+# The label builders live in config; core re-exports them.
+from .config import ProblemConfig, one_hot_labels, smooth_labels  # noqa: F401
 
 # Stand-in for an infinite cross-entropy term (exact zero probability
 # against a positive target).
@@ -66,22 +68,6 @@ def log_softmax_cols(Z: np.ndarray) -> np.ndarray:
     return shifted - np.log(s)
 
 
-def one_hot_labels(K: int, n: int) -> np.ndarray:
-    """Class-major one-hot label matrix Y (K x nK)."""
-    labels = np.repeat(np.arange(K), n)
-    Y = np.zeros((K, K * n))
-    Y[labels, np.arange(K * n)] = 1.0
-    return Y
-
-
-def smooth_labels(Y: np.ndarray, delta: float) -> np.ndarray:
-    """Smoothed targets (1 - delta) * Y + delta / K."""
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"delta must be in [0, 1], got {delta}")
-    K = Y.shape[0]
-    return (1.0 - delta) * Y + delta / K
-
-
 def cross_entropy_cols(Z: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Per-column cross entropy of softmax(Z) against target columns T."""
     return (T * -log_softmax_cols(Z)).sum(axis=0)
@@ -94,7 +80,7 @@ def _forward(state: ModelState, cfg: ProblemConfig):
     which callers treat as divergence.
     """
     state.check_shapes(cfg)
-    Yd = smooth_labels(one_hot_labels(cfg.K, cfg.n), cfg.delta)
+    Yd = cfg.targets
     shifted, e, s = _softmax_parts(state.logits())
     ce = (Yd * -(shifted - np.log(s))).sum(axis=0).sum() / cfg.N
     reg = (

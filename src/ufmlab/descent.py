@@ -47,10 +47,6 @@ class Trajectory:
     final_state: ModelState | None = None
     converged: bool = False
 
-    @property
-    def final_loss(self) -> float:
-        return self.rows[-1].loss if self.rows else float("nan")
-
 
 def init_state(cfg: ProblemConfig, opt: OptimizerConfig) -> ModelState:
     """Seeded Gaussian init scaled by init_scale / sqrt(d); zero bias."""

@@ -7,6 +7,7 @@ from model predictions (the metrics do not care about the source).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,7 +20,11 @@ NC1_UNDEFINED = np.inf
 
 @dataclass
 class FeatureSet:
-    """Feature columns (d x M) with per-column class labels in [0, K)."""
+    """Feature columns (d x M) with per-column class labels in [0, K).
+
+    `statistics` is class_statistics of H at first use, cached on the
+    instance; the metrics below all read it.
+    """
 
     H: np.ndarray
     labels: np.ndarray
@@ -36,8 +41,11 @@ class FeatureSet:
 
     @classmethod
     def from_state(cls, state, cfg) -> "FeatureSet":
-        labels = np.repeat(np.arange(cfg.K), cfg.n)
-        return cls(H=state.H, labels=labels, K=cfg.K)
+        return cls(H=state.H, labels=cfg.labels, K=cfg.K)
+
+    @cached_property
+    def statistics(self):
+        return class_statistics(self)
 
 
 def class_statistics(fs: FeatureSet):
@@ -62,7 +70,7 @@ def class_statistics(fs: FeatureSet):
 
 def centered_class_means(fs: FeatureSet) -> np.ndarray:
     """Hbar: class means minus the global mean, d x K."""
-    h_G, class_means, _, _ = class_statistics(fs)
+    h_G, class_means, _, _ = fs.statistics
     return class_means - h_G[:, None]
 
 
@@ -73,7 +81,7 @@ def nc1(fs: FeatureSet, with_flag: bool = False):
     (fully collapsed and coincident classes); returns an infinite
     sentinel with a flag when Sigma_B = 0 but Sigma_W != 0.
     """
-    _, _, Sigma_W, Sigma_B = class_statistics(fs)
+    _, _, Sigma_W, Sigma_B = fs.statistics
     scale_B = np.abs(Sigma_B).max()
     scale_W = np.abs(Sigma_W).max()
     if scale_B == 0.0:
@@ -105,7 +113,7 @@ def nc3(W: np.ndarray, fs: FeatureSet) -> float:
 
 def norm_summary(W: np.ndarray, fs: FeatureSet) -> tuple[float, float]:
     """Mean classifier-column norm and mean class-mean norm."""
-    _, class_means, _, _ = class_statistics(fs)
+    _, class_means, _, _ = fs.statistics
     w_norms = np.linalg.norm(W, axis=0)
     h_norms = np.linalg.norm(class_means, axis=0)
     return float(w_norms.mean()), float(h_norms.mean())

@@ -19,6 +19,8 @@ from .core import ModelState, softmax_cols
 
 # Relative gap used to cluster numerically equal eigenvalues.
 CLUSTER_REL_GAP = 1e-8
+# Eigenvalues at or below this fraction of lambda_max count as zero.
+ZERO_CUTOFF = 1e-10
 
 
 @dataclass
@@ -49,8 +51,8 @@ def probability_laplacian(p: np.ndarray) -> np.ndarray:
     return np.diag(p) - np.outer(p, p)
 
 
-def condition_number(report, zero_cutoff: float = 1e-10) -> float:
-    """lambda_max / lambda_min over eigenvalues above zero_cutoff * lambda_max."""
+def condition_number(report) -> float:
+    """lambda_max / lambda_min over eigenvalues above ZERO_CUTOFF * lambda_max."""
     if isinstance(report, SpectrumReport):
         vals = report.eigenvalues()
     else:
@@ -58,7 +60,7 @@ def condition_number(report, zero_cutoff: float = 1e-10) -> float:
     lam_max = vals[-1]
     if lam_max <= 0.0:
         raise ValueError("all-zero spectrum has no condition number")
-    nonzero = vals[vals > zero_cutoff * lam_max]
+    nonzero = vals[vals > ZERO_CUTOFF * lam_max]
     return float(lam_max / nonzero[0])
 
 
@@ -158,15 +160,13 @@ def numeric_hessian_classifier(
     return M
 
 
-def cluster_eigenvalues(
-    values: np.ndarray, rel_gap: float = CLUSTER_REL_GAP
-) -> list[tuple[float, int]]:
+def cluster_eigenvalues(values: np.ndarray) -> list[tuple[float, int]]:
     """Group nearly equal eigenvalues; returns (mean, count) ascending."""
     vals = np.sort(np.asarray(values, dtype=float))
     lam_max = max(abs(vals[0]), abs(vals[-1]))
     if lam_max == 0.0:
         return [(0.0, len(vals))]
-    thresh = rel_gap * lam_max
+    thresh = CLUSTER_REL_GAP * lam_max
     clusters = []
     start = 0
     for i in range(1, len(vals) + 1):
@@ -178,16 +178,14 @@ def cluster_eigenvalues(
 
 
 def compare_to_analytic(
-    analytic: SpectrumReport,
-    numeric_values: np.ndarray,
-    rel_gap: float = CLUSTER_REL_GAP,
+    analytic: SpectrumReport, numeric_values: np.ndarray
 ) -> tuple[float, bool]:
     """Cluster numeric eigenvalues and match them against the analytic pairs.
 
     Returns (max relative deviation, multiplicities matched).  Deviation
     for a zero analytic eigenvalue is measured relative to lambda_max.
     """
-    clusters = cluster_eigenvalues(numeric_values, rel_gap)
+    clusters = cluster_eigenvalues(numeric_values)
     pairs = sorted(analytic.eigenpairs)
     lam_max = max(abs(v) for v, _ in pairs)
     if lam_max == 0.0:

@@ -207,6 +207,58 @@ class TestConfigBoundary:
         assert self.run_solve(tmp_path, text) == 2
         assert f"optimizer.{entry.split(':')[0]}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", ["learning_rate: .nan", "init_scale: .inf",
+                                       "loss_tol: .nan"])
+    def test_non_finite_optimizer_value_exit_2_names_field(self, tmp_path, capsys, entry):
+        path = tmp_path / "c.yaml"
+        path.write_text(f"problem: {{k: 3, n: 2, d: 4}}\n"
+                        f"optimizer: {{max_iters: 50, {entry}}}\n")
+        out = tmp_path / "o"
+        assert main(["optimize", "--config", str(path), "--out", str(out)]) == 2
+        assert entry.split(":")[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["- 1\n", "3\n", "just text\n"])
+    def test_top_level_not_a_mapping_exit_2(self, tmp_path, capsys, text):
+        assert self.run_solve(tmp_path, text) == 2
+        assert "must be a mapping" in capsys.readouterr().err
+
+
+class TestReportEnvelope:
+    PROBLEM = dict(REF_PROBLEM, lambda_b=2e-3)
+    OPTIMIZER = {"learning_rate": 0.25, "momentum": 0.5, "max_iters": 40, "loss_tol": 1e-9,
+                 "record_every": 7, "init_scale": 0.75, "seed": 3}
+    COMMANDS = [["solve"], ["optimize"], ["spectrum"], ["sweep", "--deltas", "0.1"], ["race"]]
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_config_echo_reads_back(self, tmp_path, capsys, command):
+        path = write_config(tmp_path / "c.yaml", self.PROBLEM, self.OPTIMIZER)
+        out = tmp_path / "o"
+        assert main([command[0], "--config", path, "--out", str(out), *command[1:]]) == 0
+        assert capsys.readouterr().out.endswith(f"{out / command[0]}.json\n")
+        report = json.loads((out / f"{command[0]}.json").read_text())
+        assert report["format_version"] == 1
+        echo = tmp_path / "echo.yaml"
+        echo.write_text(yaml.safe_dump(report["config"]))
+        assert load_config(str(echo))[:2] == load_config(path)[:2]
+
+    def test_seed_override_is_echoed(self, tmp_path):
+        path = write_config(tmp_path / "c.yaml", self.PROBLEM, self.OPTIMIZER)
+        main(["solve", "--config", path, "--out", str(tmp_path / "o"), "--seed", "11"])
+        report = json.loads((tmp_path / "o" / "solve.json").read_text())
+        assert report["config"]["optimizer"]["seed"] == 11
+        assert set(report["config"]["problem"]) == set(self.PROBLEM)
+
+    def test_calibrate_report_has_version_and_no_config(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        lpath, ypath, *_ = TestCalibrate().make_files(tmp_path, rng)
+        out = tmp_path / "o"
+        assert main(["calibrate", lpath, ypath, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == \
+            f"wrote {out / 'reliability.csv'} and {out / 'calibration.json'}\n"
+        report = json.loads((out / "calibration.json").read_text())
+        assert report["format_version"] == 1 and "config" not in report
+
 
 class TestCalibrate:
     def make_files(self, tmp_path, rng, M=60, K=3):

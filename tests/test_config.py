@@ -1,8 +1,12 @@
 import math
+from dataclasses import asdict, fields, replace
 
+import numpy as np
 import pytest
 
-from ufmlab.config import ProblemConfig
+import ufmlab
+from ufmlab import core
+from ufmlab.config import OptimizerConfig, ProblemConfig, one_hot_labels, smooth_labels
 from ufmlab.closed_form import logit_scale
 
 
@@ -22,3 +26,48 @@ class TestProblemConfigLambdas:
         cfg = ProblemConfig(K=3, n=2, d=4, lambda_w=1e-150, lambda_h=1e-150)
         assert cfg.lambda_z > 0.0
         assert math.isfinite(logit_scale(cfg)) and logit_scale(cfg) > 0.0
+
+
+class TestProblemConfigLabels:
+    def test_class_major_layout(self):
+        cfg = ProblemConfig(K=3, n=2, d=4, delta=0.3)
+        assert np.array_equal(cfg.labels, [0, 0, 1, 1, 2, 2])
+        assert np.array_equal(cfg.targets, smooth_labels(one_hot_labels(3, 2), 0.3))
+        # column k*n + i holds sample i of class k
+        assert np.array_equal(cfg.targets.argmax(axis=0), cfg.labels)
+
+    @pytest.mark.parametrize("name", ["labels", "targets"])
+    def test_cached_and_read_only(self, name):
+        cfg = ProblemConfig(K=3, n=2, d=4, delta=0.1)
+        value = getattr(cfg, name)
+        assert getattr(cfg, name) is value
+        with pytest.raises(ValueError):
+            value[0] = 1
+
+    def test_replace_gives_fresh_targets(self):
+        cfg = ProblemConfig(K=3, n=2, d=4, delta=0.1)
+        old = cfg.targets
+        other = replace(cfg, delta=0.2)
+        assert other.targets is not old
+        assert other.targets[0, 0] == pytest.approx(0.8 + 0.2 / 3)
+        assert old[0, 0] == pytest.approx(0.9 + 0.1 / 3)
+
+    def test_cache_invisible_to_eq_hash_and_asdict(self):
+        cfg = ProblemConfig(K=3, n=2, d=4, delta=0.1)
+        fresh = ProblemConfig(K=3, n=2, d=4, delta=0.1)
+        _ = cfg.targets, cfg.labels  # fill the cache
+        assert cfg == fresh and hash(cfg) == hash(fresh)
+        assert asdict(cfg) == asdict(fresh)
+        assert set(asdict(cfg)) == {f.name for f in fields(ProblemConfig)}
+
+    def test_builders_reexported(self):
+        assert core.one_hot_labels is one_hot_labels
+        assert core.smooth_labels is ufmlab.smooth_labels is smooth_labels
+
+
+class TestOptimizerConfigFinite:
+    @pytest.mark.parametrize("name", ["learning_rate", "loss_tol", "init_scale"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            OptimizerConfig(**{name: value})

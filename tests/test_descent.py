@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ufmlab import core, descent
+from ufmlab import closed_form, config, core, descent, nc_metrics
 from ufmlab.config import OptimizerConfig, ProblemConfig
 from ufmlab.closed_form import global_minimizer, mean_logit_matrix
 from ufmlab.descent import (
@@ -107,6 +107,39 @@ class TestRun:
         traj = run(REF_CFG, opt, compute_metrics=compute_metrics)
         assert traj.converged and len(traj.rows) > 2
         assert calls == ["loss_and_grad"] * (traj.rows[-1].iter + 1)
+
+    def test_targets_built_once_per_problem(self, monkeypatch):
+        builder = core.one_hot_labels
+        calls = []
+
+        def counted(K, n):
+            calls.append((K, n))
+            return builder(K, n)
+
+        for mod in (config, core, closed_form, descent, nc_metrics):
+            if getattr(mod, "one_hot_labels", None) is builder:
+                monkeypatch.setattr(mod, "one_hot_labels", counted)
+        # The README config, built here so that nothing is cached on it yet.
+        cfg = ProblemConfig(K=3, n=2, d=4, delta=0.1)
+        traj = run(cfg, replace(REF_OPT, loss_tol=1e-7))
+        assert traj.converged and traj.rows[-1].iter > 100
+        # Once for the targets, once for the closed-form optimum behind L*.
+        assert 1 <= len(calls) <= 2
+
+    def test_one_class_statistics_pass_per_metrics_row(self, monkeypatch):
+        original = nc_metrics.class_statistics
+        calls = []
+
+        def counted(fs):
+            calls.append(fs)
+            return original(fs)
+
+        monkeypatch.setattr(nc_metrics, "class_statistics", counted)
+        state = init_state(REF_CFG, REF_OPT)
+        loss, grads = core.loss_and_grad(state, REF_CFG)
+        row = descent._metrics_row(state, REF_CFG, 0, loss, 0.0, 0.0)
+        assert len(calls) == 1
+        assert np.all(np.isfinite([row.nc1, row.nc2, row.nc3, row.w_norm, row.h_mean_norm]))
 
 
 class TestIterationsToEpsilon:

@@ -107,6 +107,21 @@ class TestNC1:
         assert nc1(fs_p) == pytest.approx(nc1(fs), rel=1e-12)
 
 
+class TestStatisticsCache:
+    def test_statistics_cached_and_equal_to_class_statistics(self):
+        fs = hand_feature_set()
+        stats = fs.statistics
+        assert fs.statistics is stats
+        for cached, fresh in zip(stats, class_statistics(fs)):
+            assert np.array_equal(cached, fresh)
+
+    def test_from_state_takes_the_problem_labels(self):
+        cfg = ProblemConfig(K=3, n=2, d=4)
+        fs = FeatureSet.from_state(global_minimizer(cfg), cfg)
+        assert np.array_equal(fs.labels, [0, 0, 1, 1, 2, 2])
+        assert np.array_equal(fs.labels, cfg.labels)
+
+
 class TestNC2:
     def test_closed_form_is_zero(self):
         cfg = ProblemConfig(K=4, n=3, d=6, delta=0.1)
