@@ -142,22 +142,23 @@ def numeric_hessian_features(
     return blocks
 
 
-def numeric_hessian_classifier(
-    state: ModelState, cfg: ProblemConfig, include_ridge: bool = False
-) -> np.ndarray:
+def numeric_hessian_classifier(state: ModelState, cfg: ProblemConfig) -> np.ndarray:
     """Kd x Kd Hessian w.r.t. vec(W) (columns stacked), H fixed."""
     state.check_shapes(cfg)
     P = softmax_cols(state.logits())
     K, d, N = cfg.K, cfg.d, cfg.N
-    M = np.zeros((K * d, K * d))
-    for j in range(N):
-        D = probability_laplacian(P[:, j])
-        h = state.H[:, j]
-        M += np.kron(D, np.outer(h, h))
+    D = [probability_laplacian(P[:, j]) for j in range(N)]
+    # sum_j kron(D_j, h_j h_j^T) one block row at a time through a cache-sized
+    # buffer; same products and summation order, so bit-identical to the kron sum.
+    M = np.zeros((K, d, K, d))
+    term = np.empty((d, K, d))
+    for a in range(K):
+        for j in range(N):
+            h = state.H[:, j]
+            np.multiply(D[j][a][None, :, None], np.outer(h, h)[:, None, :], out=term)
+            M[a] += term
     M /= N
-    if include_ridge:
-        M += cfg.lambda_w * np.eye(K * d)
-    return M
+    return M.reshape(K * d, K * d)
 
 
 def cluster_eigenvalues(values: np.ndarray) -> list[tuple[float, int]]:

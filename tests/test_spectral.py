@@ -6,6 +6,7 @@ import pytest
 
 from ufmlab.config import ProblemConfig
 from ufmlab.closed_form import class_probabilities, global_minimizer, partial_orthogonal
+from ufmlab.core import softmax_cols
 from ufmlab.spectral import (
     SpectrumReport,
     analytic_classifier_hessian_spectrum,
@@ -164,6 +165,19 @@ class TestNumericHessians:
         state = global_minimizer(cfg)
         state.H[:] = 0.0
         assert np.allclose(numeric_hessian_classifier(state, cfg), 0)
+
+    def test_classifier_equals_kron_sum_bitwise(self):
+        # The blocked assembly must keep the products and summation order of
+        # (1/N) sum_j kron(D_j, h_j h_j^T), so reports do not move in the last bits.
+        cfg = ProblemConfig(K=4, n=3, d=5, delta=0.1)
+        state = global_minimizer(cfg)
+        state.H = state.H + 0.01 * np.random.default_rng(0).standard_normal(state.H.shape)
+        P = softmax_cols(state.logits())
+        ref = np.zeros((cfg.K * cfg.d, cfg.K * cfg.d))
+        for j in range(cfg.N):
+            ref += np.kron(probability_laplacian(P[:, j]), np.outer(state.H[:, j], state.H[:, j]))
+        ref /= cfg.N
+        assert np.array_equal(numeric_hessian_classifier(state, cfg), ref)
 
     def test_rotation_invariant_spectra(self):
         cfg = ProblemConfig(K=4, n=2, d=7, delta=0.1)
