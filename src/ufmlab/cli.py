@@ -61,16 +61,22 @@ def _exact(key: str, value, typ: type):
     raise ConfigError(f"{key} must be {'an integer' if typ is int else 'a number'}, got {value!r}")
 
 
-def _section(cls, raw: dict, name: str) -> dict:
-    """Keyword arguments of cls from one YAML section (keys are field names in lower case)."""
+def _mapping(raw, name: str, keys) -> dict:
+    """raw, checked to be a YAML mapping whose keys are all in keys."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{name} must be a mapping")
-    types = typing.get_type_hints(cls)
-    keys = {f.name.lower(): f.name for f in fields(cls)}
     unknown = sorted(set(raw) - set(keys))
     if unknown:
         raise ConfigError(f"unknown key {name}.{unknown[0]}")
-    return {keys[k]: _exact(f"{name}.{k}", v, types[keys[k]]) for k, v in raw.items()}
+    return raw
+
+
+def _section(cls, raw: dict, name: str) -> dict:
+    """Keyword arguments of cls from one YAML section (keys are field names in lower case)."""
+    types = typing.get_type_hints(cls)
+    keys = {f.name.lower(): f.name for f in fields(cls)}
+    return {keys[k]: _exact(f"{name}.{k}", v, types[keys[k]])
+            for k, v in _mapping(raw, name, keys).items()}
 
 
 def load_config(path: str, seed_override: int | None = None):
@@ -248,9 +254,12 @@ def cmd_spectrum(args) -> int:
 def cmd_sweep(args) -> int:
     cfg, opt, raw = load_config(args.config, args.seed)
     if args.deltas:
-        deltas = [float(x) for x in args.deltas.split(",")]
+        deltas = [_exact("--deltas", x, float) for x in args.deltas.split(",")]
     else:
-        deltas = [float(x) for x in raw.get("sweep", {}).get("deltas", [])]
+        deltas = _mapping(raw.get("sweep", {}), "sweep", ["deltas"]).get("deltas", [])
+        if not isinstance(deltas, list):
+            raise ConfigError(f"sweep.deltas must be a list, got {deltas!r}")
+        deltas = [_exact("sweep.deltas", x, float) for x in deltas]
     if not deltas:
         raise ConfigError("no deltas given (use --deltas or sweep.deltas in config)")
     rows = descent.delta_sweep(cfg, deltas, opt)

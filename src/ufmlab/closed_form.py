@@ -95,10 +95,17 @@ def global_minimizer(cfg: ProblemConfig, P: np.ndarray | None = None) -> ModelSt
 
 
 def optimal_loss(cfg: ProblemConfig) -> float:
-    """Loss value at the closed-form minimizer."""
-    from .core import ufm_loss
+    """Loss value L* at the closed-form minimizer, as a scalar formula.
 
-    return ufm_loss(global_minimizer(cfg), cfg)
+    There b = 0 and class-k samples have logits a (K - 1) on k and -a elsewhere, so with
+    Z = K - 1 + e^{aK}, -log p_t = log Z - aK and -log p_n = log Z.  The targets
+    t_t = 1 - delta + delta/K and t_n = delta/K have t_t + (K - 1) t_n = 1, so the data term
+    t_t (log Z - aK) + (K - 1) t_n log Z is log1p((K - 1) e^{-aK}) + delta (K - 1) a, which
+    does not cancel as p_t -> 1.  The weight decay adds a K (K - 1) sqrt(n) lambda_z.
+    """
+    K, a = cfg.K, logit_scale(cfg)
+    ce = math.log1p((K - 1) * math.exp(-a * K)) + cfg.delta * (K - 1) * a
+    return ce + a * K * (K - 1) * math.sqrt(cfg.n) * cfg.lambda_z
 
 
 def solve_logit_scale_by_bisection(cfg: ProblemConfig, tol: float = 1e-14) -> float:

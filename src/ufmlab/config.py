@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,6 +24,14 @@ def smooth_labels(Y: np.ndarray, delta: float) -> np.ndarray:
         raise ValueError(f"delta must be in [0, 1], got {delta}")
     K = Y.shape[0]
     return (1.0 - delta) * Y + delta / K
+
+
+def _require_integers(obj, names: tuple[str, ...]):
+    """Raise ValueError naming the first field that is a bool or not an integer."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -51,6 +60,7 @@ class ProblemConfig:
     lambda_b: float = 5e-3
 
     def __post_init__(self):
+        _require_integers(self, ("K", "n", "d"))
         if self.K < 2:
             raise ValueError(f"K must be >= 2, got {self.K}")
         if self.n < 1:
@@ -103,6 +113,7 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require_integers(self, ("max_iters", "record_every", "seed"))
         for name in ("learning_rate", "loss_tol", "init_scale"):
             value = getattr(self, name)
             if not math.isfinite(value):

@@ -122,8 +122,7 @@ def run(
             raise DivergenceError(f"loss diverged at iteration {it}: {loss}")
         converged = loss - L_star < opt.loss_tol
         if it % opt.record_every == 0 or converged or it == opt.max_iters:
-            if not traj.rows or traj.rows[-1].iter != it:
-                record(it, loss, grads)
+            record(it, loss, grads)
         if converged or it >= opt.max_iters:
             traj.converged = converged
             break
@@ -143,13 +142,8 @@ def run(
 
 def iterations_to_epsilon(traj: Trajectory, L_star: float, eps: float):
     """First iteration with loss - L* < eps, or None if never reached."""
-    if traj.loss_history is not None and len(traj.loss_history):
-        hits = np.nonzero(traj.loss_history - L_star < eps)[0]
-        return int(hits[0]) if len(hits) else None
-    for row in traj.rows:
-        if row.loss - L_star < eps:
-            return row.iter
-    return None
+    hits = np.nonzero(traj.loss_history - L_star < eps)[0]
+    return int(hits[0]) if len(hits) else None
 
 
 def mean_logit_distance(state: ModelState, cfg: ProblemConfig) -> float:
@@ -183,8 +177,6 @@ def delta_sweep(
     """One descent run plus analytic quantities per smoothing value."""
     rows = []
     for delta in deltas:
-        if not 0.0 <= delta < 1.0:
-            raise ValueError(f"delta must be in [0, 1), got {delta}")
         cfg = replace(cfg_base, delta=delta)
         a = logit_scale(cfg)
         star = global_minimizer(cfg)
@@ -199,7 +191,6 @@ def delta_sweep(
                 else float("nan")
             )
         traj = run(cfg, opt)
-        iters = iterations_to_epsilon(traj, traj.optimal_value, opt.loss_tol)
         last = traj.rows[-1]
         rows.append(
             SweepRow(
@@ -208,7 +199,7 @@ def delta_sweep(
                 w_norm=w_norm,
                 kappa_h=kappa_h,
                 kappa_w=kappa_w,
-                iters_to_eps=iters,
+                iters_to_eps=last.iter if traj.converged else None,
                 nc1=last.nc1,
                 nc2=last.nc2,
                 nc3=last.nc3,

@@ -125,9 +125,7 @@ def analytic_classifier_hessian_spectrum(cfg: ProblemConfig) -> SpectrumReport:
     return SpectrumReport(pairs, kappa, "analytic", degenerate, notes)
 
 
-def numeric_hessian_features(
-    state: ModelState, cfg: ProblemConfig, include_ridge: bool = False
-) -> list[np.ndarray]:
+def numeric_hessian_features(state: ModelState, cfg: ProblemConfig) -> list[np.ndarray]:
     """One d x d block (1/N) W D_k W^T per class (first sample of each class)."""
     state.check_shapes(cfg)
     P = softmax_cols(state.logits())
@@ -135,10 +133,7 @@ def numeric_hessian_features(
     for k in range(cfg.K):
         p = P[:, k * cfg.n]
         D = probability_laplacian(p)
-        block = state.W @ D @ state.W.T / cfg.N
-        if include_ridge:
-            block = block + cfg.lambda_h * np.eye(cfg.d)
-        blocks.append(block)
+        blocks.append(state.W @ D @ state.W.T / cfg.N)
     return blocks
 
 

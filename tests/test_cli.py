@@ -224,6 +224,24 @@ class TestConfigBoundary:
         assert "must be a mapping" in capsys.readouterr().err
 
 
+class TestSweepSection:
+    @pytest.mark.parametrize("extra, argv, name", [
+        ("sweep: [0.1]\n", [], "sweep"),
+        ("sweep: {deltas: 0.1}\n", [], "sweep.deltas"),
+        ("sweep: {deltas: [0.1, x]}\n", [], "sweep.deltas"),
+        ("sweep: {deltas: [true]}\n", [], "sweep.deltas"),
+        ("sweep: {deltas: [0.1], extra: 1}\n", [], "sweep.extra"),
+        ("", ["--deltas", "0.1,x"], "--deltas"),
+    ])
+    def test_bad_deltas_exit_2_names_source(self, tmp_path, capsys, extra, argv, name):
+        path = tmp_path / "c.yaml"
+        path.write_text("problem: {k: 3, n: 2, d: 4}\n" + extra)
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(path), "--out", str(out), *argv]) == 2
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestReportEnvelope:
     PROBLEM = dict(REF_PROBLEM, lambda_b=2e-3)
     OPTIMIZER = {"learning_rate": 0.25, "momentum": 0.5, "max_iters": 40, "loss_tol": 1e-9,

@@ -1,3 +1,4 @@
+import decimal
 import math
 from dataclasses import replace
 
@@ -12,6 +13,7 @@ from ufmlab.closed_form import (
     logit_scale,
     mean_logit_matrix,
     minimizer_scales,
+    optimal_loss,
     partial_orthogonal,
     simplex_etf_core,
     solve_logit_scale_by_bisection,
@@ -80,6 +82,42 @@ class TestClassProbabilities:
         assert s < 1
         _, p_n = class_probabilities(cfg)
         assert p_n == pytest.approx(s / cfg.K, rel=1e-12)
+
+
+class TestOptimalLoss:
+    def test_matches_loss_at_minimizer(self):
+        # GRID is tests/test_acceptance.py's CONFIG_GRID; the forward pass is the oracle.
+        for cfg in GRID:
+            assert optimal_loss(cfg) == pytest.approx(
+                ufm_loss(global_minimizer(cfg), cfg), rel=1e-12)
+
+    @pytest.mark.parametrize("cfg", [
+        ProblemConfig(K=2, n=1, d=2, lambda_w=1e-4, lambda_h=1e-4),
+        ProblemConfig(K=3, n=1, d=3, lambda_w=1e-4, lambda_h=1e-4),
+        ProblemConfig(K=10, n=5, d=12, delta=0.1),
+        ProblemConfig(K=100, n=20, d=100, delta=0.05, lambda_w=1e-5, lambda_h=1e-5),
+    ], ids=lambda cfg: f"K{cfg.K}-delta{cfg.delta}")
+    def test_matches_high_precision_formula(self, cfg):
+        # p_t near 1 (large aK): log Z - aK cancels in floating point but not in 40 digits.
+        with decimal.localcontext(decimal.Context(prec=40)):
+            D = decimal.Decimal
+            K, n, delta = D(cfg.K), D(cfg.n), D(cfg.delta)
+            lz = (D(cfg.lambda_w) * D(cfg.lambda_h)).sqrt()
+            a = ((K / ((K * K * n).sqrt() * lz + delta) - K + 1).ln()) / K
+            log_z = (K - 1 + (a * K).exp()).ln()
+            t_t, t_n = 1 - delta + delta / K, delta / K
+            exact = (t_t * (log_z - a * K) + (K - 1) * t_n * log_z
+                     + a * K * (K - 1) * n.sqrt() * lz)
+        assert optimal_loss(cfg) == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("cfg", [
+        ProblemConfig(K=3, n=10, d=3, delta=0.9, lambda_w=0.5, lambda_h=0.5),
+        ProblemConfig(K=10, n=5, d=12, delta=0.98),
+        ProblemConfig(K=100, n=20, d=100, delta=0.1),
+    ], ids=lambda cfg: f"K{cfg.K}")
+    def test_collapsed_optimum_is_log_k(self, cfg):
+        assert logit_scale(cfg) == 0.0
+        assert optimal_loss(cfg) == pytest.approx(math.log(cfg.K), rel=1e-15, abs=0.0)
 
 
 class TestPartialOrthogonal:

@@ -71,3 +71,26 @@ class TestOptimizerConfigFinite:
     def test_rejects_non_finite(self, name, value):
         with pytest.raises(ValueError, match=name):
             OptimizerConfig(**{name: value})
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize("name, value", [
+        ("K", 3.5), ("K", 3.0), ("n", True), ("n", "2"), ("d", np.float64(4.0)),
+    ])
+    def test_problem_rejects_non_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            ProblemConfig(**{"K": 3, "n": 2, "d": 4, name: value})
+
+    @pytest.mark.parametrize("name, value", [
+        ("max_iters", 2.5), ("record_every", False), ("seed", 1.0), ("seed", None),
+    ])
+    def test_optimizer_rejects_non_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            OptimizerConfig(**{name: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = ProblemConfig(K=np.int64(3), n=np.int32(2), d=np.uint8(4))
+        assert cfg.N == 6 and cfg.targets.shape == (3, 6)
+        opt = OptimizerConfig(max_iters=np.int64(10), record_every=np.int16(5),
+                              seed=np.int64(1))
+        assert opt.max_iters == 10

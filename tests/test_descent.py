@@ -10,7 +10,6 @@ from ufmlab.descent import (
     DivergenceError,
     convergence_race,
     Trajectory,
-    TrajectoryRow,
     delta_sweep,
     init_state,
     iterations_to_epsilon,
@@ -126,6 +125,25 @@ class TestRun:
         # Once for the targets, once for the closed-form optimum behind L*.
         assert 1 <= len(calls) <= 2
 
+    def test_no_minimizer_or_loss_pass_for_optimal_value(self, monkeypatch):
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for mod in (closed_form, descent):
+            monkeypatch.setattr(mod, "global_minimizer", counted(closed_form.global_minimizer))
+        monkeypatch.setattr(core, "ufm_loss", counted(core.ufm_loss))
+        # The README config.
+        cfg = ProblemConfig(K=3, n=2, d=4, delta=0.1)
+        traj = run(cfg, replace(REF_OPT, loss_tol=1e-7))
+        assert traj.converged
+        assert traj.optimal_value == closed_form.optimal_loss(cfg)
+        assert calls == []
+
     def test_one_class_statistics_pass_per_metrics_row(self, monkeypatch):
         original = nc_metrics.class_statistics
         calls = []
@@ -156,12 +174,6 @@ class TestIterationsToEpsilon:
     def test_never_reached(self):
         traj = Trajectory(loss_history=np.array([5.0, 4.0]), optimal_value=0.0)
         assert iterations_to_epsilon(traj, 0.0, 1e-6) is None
-
-    def test_rows_fallback(self):
-        rows = [TrajectoryRow(i, 10.0 - i, 0, 0, 0, 0, 0, 0, 10.0 - i)
-                for i in range(0, 12, 3)]
-        traj = Trajectory(rows=rows)
-        assert iterations_to_epsilon(traj, 0.0, 2.0) == 9
 
 
 class TestRace:
@@ -212,6 +224,18 @@ class TestDeltaSweep:
         assert boundary.degenerate
         assert boundary.a_delta == 0.0 and boundary.w_norm == 0.0
         assert np.isnan(boundary.kappa_h)
+
+    def test_iters_to_eps_is_the_runs_own_stop(self):
+        cfg = ProblemConfig(K=3, n=2, d=4, lambda_w=5e-3, lambda_h=5e-3)
+        opt = replace(REF_OPT, loss_tol=1e-7, max_iters=300, record_every=100)
+        # delta = 0.1 converges; the degenerate delta = 0.98 stops at max_iters.
+        rows = delta_sweep(cfg, [0.1, 0.98], opt)
+        assert rows[0].iters_to_eps is not None and rows[1].iters_to_eps is None
+        for row in rows:
+            traj = run(replace(cfg, delta=row.delta), opt)
+            assert traj.converged == (row.iters_to_eps is not None)
+            assert row.iters_to_eps == iterations_to_epsilon(
+                traj, traj.optimal_value, opt.loss_tol)
 
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):

@@ -226,13 +226,6 @@ class TestNumericHessians:
             fd = (vals[0] - vals[1] - vals[2] + vals[3]) / (4 * h * h)
             assert abs(fd - M[a, b]) < 1e-4 * max(scale, 1e-12) + 1e-7
 
-    def test_ridge_flag_shifts_spectrum(self):
-        cfg = ProblemConfig(K=3, n=2, d=4, delta=0.1)
-        state = global_minimizer(cfg)
-        plain = numeric_hessian_features(state, cfg)[0]
-        ridged = numeric_hessian_features(state, cfg, include_ridge=True)[0]
-        assert np.allclose(ridged - plain, cfg.lambda_h * np.eye(cfg.d))
-
 
 class TestClustering:
     def test_cluster_counts(self):
