@@ -69,18 +69,9 @@ class CalibrationReport:
     accuracy: float | None = None
 
 
-def _confidence_correct(ds: LogitDataset):
-    P = softmax_cols(ds.logits)
-    pred = P.argmax(axis=0)
-    conf = P.max(axis=0)
-    return conf, pred == ds.labels
-
-
-def reliability_bins(ds: LogitDataset, bins: int = 20) -> list[Bin]:
-    """Equal-width confidence bins on [0, 1]; last bin closed above."""
+def _bins(conf: np.ndarray, correct: np.ndarray, bins: int) -> list[Bin]:
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    conf, correct = _confidence_correct(ds)
     idx = np.minimum((conf * bins).astype(int), bins - 1)
     out = []
     for b in range(bins):
@@ -97,6 +88,19 @@ def reliability_bins(ds: LogitDataset, bins: int = 20) -> list[Bin]:
         )
     return out
 
+
+def _entropy(P: np.ndarray) -> float:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(P > 0.0, P * np.log(P), 0.0)
+    return float(-terms.sum(axis=0).mean())
+
+
+def reliability_bins(ds: LogitDataset, bins: int = 20) -> list[Bin]:
+    """Equal-width confidence bins on [0, 1]; last bin closed above."""
+    P = softmax_cols(ds.logits)
+    return _bins(P.max(axis=0), P.argmax(axis=0) == ds.labels, bins)
+
+
 def ece_from_bins(bins: list[Bin], M: int) -> float:
     return float(
         sum(b.count / M * abs(b.accuracy - b.mean_confidence) for b in bins)
@@ -105,12 +109,13 @@ def ece_from_bins(bins: list[Bin], M: int) -> float:
 
 def ece(ds: LogitDataset, bins: int = 20) -> CalibrationReport:
     """Expected calibration error report (no temperature fitting)."""
-    bin_list = reliability_bins(ds, bins)
-    _, correct = _confidence_correct(ds)
+    P = softmax_cols(ds.logits)  # one pass for the bins, the accuracy and the entropy
+    correct = P.argmax(axis=0) == ds.labels
+    bin_list = _bins(P.max(axis=0), correct, bins)
     return CalibrationReport(
         ece=ece_from_bins(bin_list, ds.M),
         bins=bin_list,
-        mean_entropy=prediction_entropy(ds),
+        mean_entropy=_entropy(P),
         accuracy=float(correct.mean()),
     )
 
@@ -157,10 +162,7 @@ def fit_temperature(ds: LogitDataset):
 
 def prediction_entropy(ds: LogitDataset) -> float:
     """Average Shannon entropy of the predicted distributions."""
-    P = softmax_cols(ds.logits)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(P > 0.0, P * np.log(P), 0.0)
-    return float(-terms.sum(axis=0).mean())
+    return _entropy(softmax_cols(ds.logits))
 
 
 def calibration_report(

@@ -14,13 +14,13 @@ import csv
 import json
 import sys
 import typing
-from dataclasses import asdict, astuple, fields
+from dataclasses import asdict, astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from . import calibration, descent, nc_metrics, spectral, theory
+from . import calibration, descent, spectral, theory
 from .closed_form import (
     class_mean_matrix,
     class_probabilities,
@@ -254,14 +254,20 @@ def cmd_spectrum(args) -> int:
 def cmd_sweep(args) -> int:
     cfg, opt, raw = load_config(args.config, args.seed)
     if args.deltas:
-        deltas = [_exact("--deltas", x, float) for x in args.deltas.split(",")]
+        source, deltas = "--deltas", args.deltas.split(",")
     else:
+        source = "sweep.deltas"
         deltas = _mapping(raw.get("sweep", {}), "sweep", ["deltas"]).get("deltas", [])
         if not isinstance(deltas, list):
             raise ConfigError(f"sweep.deltas must be a list, got {deltas!r}")
-        deltas = [_exact("sweep.deltas", x, float) for x in deltas]
+    deltas = [_exact(source, x, float) for x in deltas]
     if not deltas:
         raise ConfigError("no deltas given (use --deltas or sweep.deltas in config)")
+    for delta in deltas:  # every entry, before the first descent run
+        try:
+            replace(cfg, delta=delta)
+        except ValueError as exc:
+            raise ConfigError(f"{source}: {exc}") from exc
     rows = descent.delta_sweep(cfg, deltas, opt)
     return _publish(args.out, "sweep", {
         "deltas": deltas,
@@ -312,62 +318,10 @@ def cmd_calibrate(args) -> int:
                 ["bin_lower", "bin_upper", "confidence", "accuracy", "count"], report.bins)])
 
 
-def run_property_checks(perturb: float = 0.0, seed: int = 0):
-    """Named numerical property suites; returns list of (name, ok, detail)."""
-    rng = np.random.default_rng(seed)
-    results = []
-
-    a, b = rng.standard_normal(10_000), rng.standard_normal(10_000)
-    slack = a * a / 2 + b * b / 2 - np.abs(a * b)
-    results.append(
-        ("youngs-inequality", bool(np.all(slack >= -1e-12)),
-         f"min slack {slack.min():.3e}")
-    )
-
-    Z = rng.standard_normal((4, 7))
-    W, H = theory.balanced_factorization(Z, 3.0)
-    recon = float(np.linalg.norm(W.T @ H - Z))
-    gap = theory.factorization_gap(W, H, 3.0)
-    results.append(
-        ("nuclear-norm-identity", recon < 1e-10 * np.linalg.norm(Z) and abs(gap) < 1e-10,
-         f"reconstruction {recon:.3e}, gap {gap:.3e}")
-    )
-
-    worst = 0.0
-    for _ in range(1000):
-        k, n, r = rng.integers(2, 5), rng.integers(2, 6), rng.integers(1, 5)
-        Wr = rng.standard_normal((r, k))
-        Hr = rng.standard_normal((r, n))
-        worst = min(worst, theory.factorization_gap(Wr, Hr, float(rng.uniform(0.1, 5.0))))
-    results.append(
-        ("factorization-lower-bound", worst >= -1e-10, f"min gap {worst:.3e}")
-    )
-
-    cfg = ProblemConfig(K=4, n=3, d=6, delta=0.1)
-    state = global_minimizer(cfg)
-    if perturb:
-        state.W = state.W + perturb * rng.standard_normal(state.W.shape)
-    fs = nc_metrics.FeatureSet.from_state(state, cfg)
-    dual = theory.duality_gap(state.W, nc_metrics.centered_class_means(fs), cfg)
-    results.append(("self-duality", dual < 1e-10, f"gap {dual:.3e}"))
-
-    resid = gradient_norm(state, cfg)
-    results.append(("stationarity", resid < 1e-8, f"residual {resid:.3e}"))
-
-    opt = OptimizerConfig(learning_rate=0.5, momentum=0.9, max_iters=20_000,
-                          loss_tol=1e-9, record_every=500, seed=seed)
-    traj = descent.run(ProblemConfig(K=3, n=2, d=4, delta=0.1), opt,
-                       compute_metrics=False)
-    spread = theory.logit_spread(traj.final_state.logits(), 3, 2)
-    results.append(("logit-collapse", spread < 1e-3, f"spread {spread:.3e}"))
-
-    return results
-
-
 def cmd_check(args) -> int:
-    results = run_property_checks(perturb=args.perturb, seed=args.seed or 0)
     ok = True
-    for name, passed, detail in results:
+    for name, claim in theory.CLAIMS.items():
+        passed, detail = claim(args.seed or 0, args.perturb)
         ok &= passed
         print(f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -416,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("check", help="run the numerical property suites")
+    p = sub.add_parser("check", help="check the named theory claims (ufmlab.theory.CLAIMS)")
     p.add_argument("--perturb", type=float, default=0.0,
                    help="inject a perturbation into the closed-form checks")
     p.add_argument("--seed", type=int, default=None)

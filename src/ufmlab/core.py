@@ -16,10 +16,6 @@ import numpy as np
 # The label builders live in config; core re-exports them.
 from .config import ProblemConfig, one_hot_labels, smooth_labels  # noqa: F401
 
-# Stand-in for an infinite cross-entropy term (exact zero probability
-# against a positive target).
-SATURATION_VALUE = 1e30
-
 
 @dataclass
 class ModelState:
@@ -68,11 +64,6 @@ def log_softmax_cols(Z: np.ndarray) -> np.ndarray:
     return shifted - np.log(s)
 
 
-def cross_entropy_cols(Z: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Per-column cross entropy of softmax(Z) against target columns T."""
-    return (T * -log_softmax_cols(Z)).sum(axis=0)
-
-
 def _forward(state: ModelState, cfg: ProblemConfig):
     """Loss, smoothed targets and softmax parts: the pass the gradient reuses.
 
@@ -113,53 +104,3 @@ def grad_blocks_norm(grads) -> float:
 
 def gradient_norm(state: ModelState, cfg: ProblemConfig) -> float:
     return grad_blocks_norm(loss_and_grad(state, cfg)[1])
-
-
-def _smoothed_ce(p: np.ndarray, target: int, delta: float) -> tuple[float, bool]:
-    """Cross entropy of p against the delta-smoothed one-hot target.
-
-    Returns (value, saturated); zero probabilities against a positive
-    target saturate at SATURATION_VALUE instead of producing inf.
-    """
-    K = p.shape[0]
-    t = np.full(K, delta / K)
-    t[target] += 1.0 - delta
-    saturated = bool(np.any((p <= 0.0) & (t > 0.0)))
-    if saturated:
-        return SATURATION_VALUE, True
-    with np.errstate(divide="ignore"):
-        return float(-(t * np.log(p)).sum()), False
-
-
-def ls_equalization_gap(
-    p: np.ndarray, target: int, delta: float, with_flag: bool = False
-):
-    """Excess smoothed-label loss of p over its non-target-equalized version.
-
-    The comparison point keeps p[target] and spreads the remaining mass
-    uniformly over the other classes; by Jensen the gap is nonnegative and
-    vanishes exactly when the non-target entries are already equal.
-    """
-    p = np.asarray(p, dtype=float)
-    K = p.shape[0]
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
-    if not (0 <= target < K):
-        raise ValueError(f"target {target} out of range for K={K}")
-    if abs(p.sum() - 1.0) > 1e-9 or np.any(p < -1e-12):
-        raise ValueError("p must be a probability vector")
-
-    p_eq = np.full(K, (1.0 - p[target]) / (K - 1))
-    p_eq[target] = p[target]
-
-    loss_p, sat_p = _smoothed_ce(p, target, delta)
-    loss_eq, sat_eq = _smoothed_ce(p_eq, target, delta)
-    if sat_p or sat_eq:
-        gap = SATURATION_VALUE if sat_p and not sat_eq else loss_p - loss_eq
-        flag = True
-    else:
-        gap = loss_p - loss_eq
-        flag = False
-    if with_flag:
-        return gap, flag
-    return gap

@@ -9,12 +9,13 @@ minimizer's orthogonal factor is not unique.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .config import OptimizerConfig, ProblemConfig
-from .closed_form import global_minimizer, logit_scale, mean_logit_matrix, optimal_loss
+from .closed_form import logit_scale, mean_logit_matrix, minimizer_scales, optimal_loss
 from .core import ModelState, grad_blocks_norm, loss_and_grad
 from . import nc_metrics
 from . import spectral
@@ -179,8 +180,8 @@ def delta_sweep(
     for delta in deltas:
         cfg = replace(cfg_base, delta=delta)
         a = logit_scale(cfg)
-        star = global_minimizer(cfg)
-        w_norm = float(np.linalg.norm(star.W))
+        # ||W|| of the minimizer: W = c_w P (K I - 11^T) and ||K I - 11^T|| = K sqrt(K - 1).
+        w_norm = minimizer_scales(cfg)[0] * cfg.K * math.sqrt(cfg.K - 1)
         if a == 0.0:
             kappa_h = kappa_w = float("nan")
         else:

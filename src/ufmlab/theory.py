@@ -1,15 +1,25 @@
 """Numerical witnesses for the variational machinery behind the closed form.
 
 Covers the nuclear-norm lower bound for balanced factorizations, the
-balanced SVD factorization that attains it, and the self-duality of the
-classifier and the class-mean features at the minimizer.
+balanced SVD factorization that attains it, the self-duality of the
+classifier and the class-mean features at the minimizer, and the
+non-target equalization lemma of label smoothing.  CLAIMS holds the named
+checks that `ufmlab check` runs and the acceptance suite tests.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .config import ProblemConfig
+from . import descent
+from .closed_form import global_minimizer
+from .config import OptimizerConfig, ProblemConfig
+from .core import gradient_norm
+from .nc_metrics import FeatureSet, centered_class_means
+
+# Stand-in for an infinite cross-entropy term (exact zero probability
+# against a positive target).
+SATURATION_VALUE = 1e30
 
 
 def nuclear_norm(Z: np.ndarray) -> float:
@@ -49,8 +59,99 @@ def duality_gap(W: np.ndarray, H_bar: np.ndarray, cfg: ProblemConfig) -> float:
 
 def logit_spread(Z: np.ndarray, K: int, n: int) -> float:
     """Max over classes of the within-class spread of logit columns."""
-    spread = 0.0
-    for k in range(K):
-        cols = Z[:, k * n : (k + 1) * n]
-        spread = max(spread, float(np.abs(cols - cols.mean(axis=1, keepdims=True)).max()))
-    return spread
+    cols = Z.reshape(Z.shape[0], K, n)  # column k*n + i is sample i of class k
+    return float(np.abs(cols - cols.mean(axis=2, keepdims=True)).max())
+
+
+def ls_equalization_gap(p: np.ndarray, target: int, delta: float, with_flag: bool = False):
+    """Excess smoothed-label loss of p over its non-target-equalized version.
+
+    The comparison point keeps p[target] and spreads the remaining mass
+    uniformly over the other classes; by Jensen the gap is nonnegative and
+    vanishes exactly when the non-target entries are already equal.  Every
+    smoothed target is positive, so a zero probability saturates its loss at
+    SATURATION_VALUE and sets the flag.
+    """
+    p = np.asarray(p, dtype=float)
+    K = p.shape[0]
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    if not (0 <= target < K):
+        raise ValueError(f"target {target} out of range for K={K}")
+    if abs(p.sum() - 1.0) > 1e-9 or np.any(p < -1e-12):
+        raise ValueError("p must be a probability vector")
+
+    p_eq = np.full(K, (1.0 - p[target]) / (K - 1))
+    p_eq[target] = p[target]
+    t = np.full(K, delta / K)
+    t[target] += 1.0 - delta
+
+    def loss(q):
+        return SATURATION_VALUE if np.any(q <= 0.0) else float(-(t * np.log(q)).sum())
+
+    gap = loss(p) - loss(p_eq)
+    flag = bool(np.any(p <= 0.0) or np.any(p_eq <= 0.0))
+    return (gap, flag) if with_flag else gap
+
+
+# Claims: claim(seed, perturb) -> (ok, detail).  Each seeds its own generator.
+
+def _nuclear_norm_identity(seed: int, perturb: float):
+    """The balanced factorization reconstructs Z and attains ||Z||_*."""
+    Z = np.random.default_rng(seed).standard_normal((4, 7))
+    W, H = balanced_factorization(Z, 3.0)
+    recon = float(np.linalg.norm(W.T @ H - Z))
+    gap = factorization_gap(W, H, 3.0)
+    return (bool(recon < 1e-10 * np.linalg.norm(Z) and abs(gap) < 1e-10),
+            f"reconstruction {recon:.3e}, gap {gap:.3e}")
+
+
+def _factorization_lower_bound(seed: int, perturb: float):
+    """No random factorization W^T H beats ||W^T H||_* (1,000 draws)."""
+    rng = np.random.default_rng(seed)
+    worst = np.inf
+    for _ in range(1000):
+        k, n, r = rng.integers(2, 5), rng.integers(2, 6), rng.integers(1, 5)
+        W = rng.standard_normal((r, k))
+        H = rng.standard_normal((r, n))
+        worst = min(worst, factorization_gap(W, H, float(rng.uniform(0.1, 5.0))))
+    return worst >= -1e-10, f"min gap {worst:.3e}"
+
+
+def _perturbed_minimizer(seed: int, perturb: float):
+    """A K=4 closed-form minimizer whose W is moved by perturb times N(0, 1) noise."""
+    cfg = ProblemConfig(K=4, n=3, d=6, delta=0.1)
+    state = global_minimizer(cfg)
+    state.W += perturb * np.random.default_rng(seed).standard_normal(state.W.shape)
+    return state, cfg
+
+
+def _self_duality(seed: int, perturb: float):
+    """W = sqrt(n lambda_h / lambda_w) Hbar at the minimizer."""
+    state, cfg = _perturbed_minimizer(seed, perturb)
+    gap = duality_gap(state.W, centered_class_means(FeatureSet.from_state(state, cfg)), cfg)
+    return gap < 1e-10, f"gap {gap:.3e}"
+
+
+def _stationarity(seed: int, perturb: float):
+    """The gradient vanishes at the minimizer."""
+    resid = gradient_norm(*_perturbed_minimizer(seed, perturb))
+    return resid < 1e-8, f"residual {resid:.3e}"
+
+
+def _logit_collapse(seed: int, perturb: float):
+    """Descent from a seeded start collapses the logits within each class."""
+    opt = OptimizerConfig(learning_rate=0.5, momentum=0.9, max_iters=20_000,
+                          loss_tol=1e-9, record_every=500, seed=seed)
+    traj = descent.run(ProblemConfig(K=3, n=2, d=4, delta=0.1), opt, compute_metrics=False)
+    spread = logit_spread(traj.final_state.logits(), 3, 2)
+    return spread < 1e-3, f"spread {spread:.3e}"
+
+
+CLAIMS = {
+    "nuclear-norm-identity": _nuclear_norm_identity,
+    "factorization-lower-bound": _factorization_lower_bound,
+    "self-duality": _self_duality,
+    "stationarity": _stationarity,
+    "logit-collapse": _logit_collapse,
+}

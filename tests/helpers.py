@@ -6,6 +6,17 @@ from ufmlab.config import ProblemConfig
 from ufmlab.core import ModelState, ufm_loss
 
 
+# The acceptance grid of problem configs, shared by the suites that sweep it.
+CONFIG_GRID = [
+    ProblemConfig(K=K, n=n, d=d, delta=delta, lambda_w=lam, lambda_h=lam)
+    for K in (2, 3, 4, 10)
+    for n in (1, 2, 5)
+    for d in (K, K + 3)
+    for delta in (0.0, 0.05, 0.1, 0.3)
+    for lam in (1e-3, 5e-3)
+]
+
+
 def pack(state: ModelState) -> np.ndarray:
     return np.concatenate([state.W.ravel(), state.H.ravel(), state.b])
 

@@ -1,4 +1,4 @@
-"""Acceptance suite: one test per criterion, each printing a pass line."""
+"""Acceptance suite: one test per criterion and per theory claim, each printing a pass line."""
 
 import math
 import time
@@ -26,18 +26,9 @@ from ufmlab.spectral import (
     numeric_hessian_classifier,
     numeric_hessian_features,
 )
-from ufmlab.theory import balanced_factorization, factorization_gap, nuclear_norm
+from ufmlab.theory import CLAIMS
 
-from helpers import fd_gradient, random_state
-
-CONFIG_GRID = [
-    ProblemConfig(K=K, n=n, d=d, delta=delta, lambda_w=lam, lambda_h=lam)
-    for K in (2, 3, 4, 10)
-    for n in (1, 2, 5)
-    for d in (K, K + 3)
-    for delta in (0.0, 0.05, 0.1, 0.3)
-    for lam in (1e-3, 5e-3)
-]
+from helpers import CONFIG_GRID, fd_gradient, random_state
 
 
 def report(num, ok, msg):
@@ -183,19 +174,12 @@ def test_criterion_7_descent_reaches_collapse():
                   f"mean-logit error {logit_err:.2e}")
 
 
-def test_criterion_8_nuclear_norm_identity():
-    rng = np.random.default_rng(800)
-    Z = rng.standard_normal((4, 9))
-    W, H = balanced_factorization(Z, 2.3)
-    attained = abs(factorization_gap(W, H, 2.3))
-    worst = np.inf
-    for _ in range(1000):
-        r = int(rng.integers(1, 5))
-        Wr = rng.standard_normal((r, int(rng.integers(2, 5))))
-        Hr = rng.standard_normal((r, int(rng.integers(2, 6))))
-        worst = min(worst, factorization_gap(Wr, Hr, float(rng.uniform(0.1, 5.0))))
-    report(8, attained < 1e-10 and worst >= -1e-10,
-           f"balanced gap {attained:.2e}, min random gap {worst:.2e}")
+@pytest.mark.parametrize("name", CLAIMS)
+def test_claim(name):
+    # The claims that `ufmlab check` runs, each with its own bound.
+    ok, detail = CLAIMS[name](800, 0.0)
+    print(f"[claim {name}] {'PASS' if ok else 'FAIL'}: {detail}")
+    assert ok, detail
 
 
 def test_criterion_9_norm_trend():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from ufmlab import spectral
+from ufmlab import descent, spectral
 from ufmlab.cli import load_config, main
 from ufmlab.core import softmax_cols
 
@@ -241,6 +241,21 @@ class TestSweepSection:
         assert name in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra, argv, name", [
+        ("sweep: {deltas: [0.1, 1.5]}\n", [], "sweep.deltas"),
+        ("", ["--deltas", "0.1,1.5"], "--deltas"),
+    ])
+    def test_out_of_range_delta_rejected_before_any_run(self, tmp_path, capsys, monkeypatch,
+                                                        extra, argv, name):
+        runs = []
+        monkeypatch.setattr(descent, "run", lambda *a, **k: runs.append(a))
+        path = tmp_path / "c.yaml"
+        path.write_text("problem: {k: 3, n: 2, d: 4}\n" + extra)
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(path), "--out", str(out), *argv]) == 2
+        assert f"{name}: delta must be in [0, 1), got 1.5" in capsys.readouterr().err
+        assert runs == [] and not out.exists()
+
 
 class TestReportEnvelope:
     PROBLEM = dict(REF_PROBLEM, lambda_b=2e-3)
@@ -321,15 +336,27 @@ class TestCalibrate:
         assert main(["calibrate", lpath, ypath, "--out", str(tmp_path / "o")]) == 2
 
 
+CHECK_CLAIMS = ["nuclear-norm-identity", "factorization-lower-bound", "self-duality",
+                "stationarity", "logit-collapse"]
+
+
+def check_lines(out):
+    """(status, claim name, detail) per printed check line."""
+    return [(line[1:5], *line[7:].split(": ", 1)) for line in out.splitlines()]
+
+
 class TestCheck:
     def test_clean_run_passes(self, capsys):
         assert main(["check"]) == 0
-        out = capsys.readouterr().out
-        for name in ("youngs-inequality", "nuclear-norm-identity",
-                     "factorization-lower-bound", "self-duality",
-                     "stationarity", "logit-collapse"):
-            assert f"[PASS] {name}" in out
+        lines = check_lines(capsys.readouterr().out)
+        assert [(status, name) for status, name, _ in lines] == \
+            [("PASS", name) for name in CHECK_CLAIMS]
+        # The random factorizations stay strictly above the bound.
+        min_gap = dict((name, detail) for _, name, detail in lines)["factorization-lower-bound"]
+        assert float(min_gap.removeprefix("min gap ")) > 0.0
 
     def test_perturbation_fails(self, capsys):
         assert main(["check", "--perturb", "0.01"]) == 1
-        assert "[FAIL]" in capsys.readouterr().out
+        failed = [name for status, name, _ in check_lines(capsys.readouterr().out)
+                  if status == "FAIL"]
+        assert failed == ["self-duality", "stationarity"]

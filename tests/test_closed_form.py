@@ -20,16 +20,7 @@ from ufmlab.closed_form import (
 )
 from ufmlab.core import gradient_norm, softmax_cols, ufm_loss
 
-from helpers import random_state
-
-GRID = [
-    ProblemConfig(K=K, n=n, d=d, delta=delta, lambda_w=lam, lambda_h=lam)
-    for K in (2, 3, 4, 10)
-    for n in (1, 2, 5)
-    for d in (K, K + 3)
-    for delta in (0.0, 0.05, 0.1, 0.3)
-    for lam in (1e-3, 5e-3)
-]
+from helpers import CONFIG_GRID as GRID, random_state
 
 
 class TestLogitScale:
@@ -86,7 +77,7 @@ class TestClassProbabilities:
 
 class TestOptimalLoss:
     def test_matches_loss_at_minimizer(self):
-        # GRID is tests/test_acceptance.py's CONFIG_GRID; the forward pass is the oracle.
+        # The forward pass is the oracle.
         for cfg in GRID:
             assert optimal_loss(cfg) == pytest.approx(
                 ufm_loss(global_minimizer(cfg), cfg), rel=1e-12)

@@ -17,6 +17,9 @@ from ufmlab.descent import (
     run,
 )
 
+from helpers import CONFIG_GRID
+
+
 REF_CFG = ProblemConfig(K=3, n=2, d=4, delta=0.1, lambda_w=5e-3, lambda_h=5e-3)
 REF_OPT = OptimizerConfig(learning_rate=0.5, momentum=0.9, max_iters=50_000,
                           loss_tol=1e-11, record_every=500, seed=0)
@@ -122,7 +125,7 @@ class TestRun:
         cfg = ProblemConfig(K=3, n=2, d=4, delta=0.1)
         traj = run(cfg, replace(REF_OPT, loss_tol=1e-7))
         assert traj.converged and traj.rows[-1].iter > 100
-        # Once for the targets, once for the closed-form optimum behind L*.
+        # A descent run builds the labels once, for the targets.
         assert 1 <= len(calls) <= 2
 
     def test_no_minimizer_or_loss_pass_for_optimal_value(self, monkeypatch):
@@ -134,8 +137,8 @@ class TestRun:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for mod in (closed_form, descent):
-            monkeypatch.setattr(mod, "global_minimizer", counted(closed_form.global_minimizer))
+        assert not hasattr(descent, "global_minimizer")
+        monkeypatch.setattr(closed_form, "global_minimizer", counted(closed_form.global_minimizer))
         monkeypatch.setattr(core, "ufm_loss", counted(core.ufm_loss))
         # The README config.
         cfg = ProblemConfig(K=3, n=2, d=4, delta=0.1)
@@ -240,3 +243,10 @@ class TestDeltaSweep:
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
             delta_sweep(REF_CFG, [1.5], REF_OPT)
+
+    def test_w_norm_matches_minimizer(self):
+        opt = replace(REF_OPT, max_iters=1)
+        for cfg in CONFIG_GRID:
+            (row,) = delta_sweep(cfg, [cfg.delta], opt)
+            expected = np.linalg.norm(global_minimizer(cfg).W)
+            assert abs(row.w_norm - expected) <= 1e-13 * expected

@@ -67,17 +67,6 @@ class TestFactorizationGap:
         W, H = balanced_factorization(Z, 1.0)
         assert factorization_gap(2 * W, H / 2, 1.0) > 1e-6
 
-    def test_random_factorizations_respect_bound(self):
-        rng = np.random.default_rng(5)
-        worst = np.inf
-        for _ in range(1000):
-            r = int(rng.integers(1, 5))
-            W = rng.standard_normal((r, int(rng.integers(2, 5))))
-            H = rng.standard_normal((r, int(rng.integers(2, 6))))
-            alpha = float(rng.uniform(0.1, 5.0))
-            worst = min(worst, factorization_gap(W, H, alpha))
-        assert worst >= -1e-10
-
     @given(st.floats(-10, 10), st.floats(-10, 10))
     @settings(max_examples=200)
     def test_scalar_young_inequality(self, a, b):
