@@ -189,7 +189,12 @@ def cmd_solve(args) -> int:
 
 def cmd_optimize(args) -> int:
     cfg, opt, _ = load_config(args.config, args.seed)
-    traj = descent.run(cfg, opt)
+    header = [f.name for f in fields(TrajectoryRow)]
+    try:
+        traj = descent.run(cfg, opt)
+    except DivergenceError as exc:  # keep the partial trajectory; still exit 3
+        write_csv(Path(args.out) / "trajectory.csv", header, map(astuple, exc.rows))
+        raise
     final = traj.rows[-1]
     return _publish(args.out, "optimize", {
         "converged": traj.converged,
@@ -203,7 +208,7 @@ def cmd_optimize(args) -> int:
         "final_nc3": final.nc3,
         "mean_logit_distance": descent.mean_logit_distance(traj.final_state, cfg),
     }, config=(cfg, opt),
-        tables=[("trajectory.csv", [f.name for f in fields(TrajectoryRow)], traj.rows)])
+        tables=[("trajectory.csv", header, traj.rows)])
 
 
 def _spectrum_dict(report: spectral.SpectrumReport) -> dict:

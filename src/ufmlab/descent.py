@@ -24,7 +24,14 @@ DIVERGENCE_LOSS = 1e6
 
 
 class DivergenceError(RuntimeError):
-    """Raised when the loss blows up or turns non-finite."""
+    """Raised when the loss blows up or turns non-finite.
+
+    rows holds the trajectory rows recorded before the failure.
+    """
+
+    def __init__(self, message: str, rows: list[TrajectoryRow]):
+        super().__init__(message)
+        self.rows = rows
 
 
 @dataclass
@@ -120,7 +127,7 @@ def run(
         loss, grads = loss_and_grad(state, cfg)
         losses.append(loss)
         if not np.isfinite(loss) or loss > DIVERGENCE_LOSS:
-            raise DivergenceError(f"loss diverged at iteration {it}: {loss}")
+            raise DivergenceError(f"loss diverged at iteration {it}: {loss}", traj.rows)
         converged = loss - L_star < opt.loss_tol
         if it % opt.record_every == 0 or converged or it == opt.max_iters:
             record(it, loss, grads)

@@ -44,11 +44,19 @@ class SpectrumReport:
 
 
 def probability_laplacian(p: np.ndarray) -> np.ndarray:
-    """diag(p) - p p^T for a probability vector p."""
+    """diag(p) - p p^T for a probability vector p.
+
+    A K x N matrix is read as N probability columns; the result is then
+    K x K x N, with the Laplacian of column j in [:, :, j].
+    """
     p = np.asarray(p, dtype=float)
-    if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
+    if np.any(p < 0) or np.any(np.abs(p.sum(axis=0) - 1.0) > 1e-9):
         raise ValueError("p must be a probability vector")
-    return np.diag(p) - np.outer(p, p)
+    K = p.shape[0]
+    D = np.zeros((K,) + p.shape)
+    D[range(K), range(K)] = p
+    D -= p[:, None] * p[None, :]
+    return D
 
 
 def condition_number(report) -> float:
@@ -140,18 +148,16 @@ def numeric_hessian_features(state: ModelState, cfg: ProblemConfig) -> list[np.n
 def numeric_hessian_classifier(state: ModelState, cfg: ProblemConfig) -> np.ndarray:
     """Kd x Kd Hessian w.r.t. vec(W) (columns stacked), H fixed."""
     state.check_shapes(cfg)
-    P = softmax_cols(state.logits())
+    H = state.H
+    D = probability_laplacian(softmax_cols(state.logits()))
     K, d, N = cfg.K, cfg.d, cfg.N
-    D = [probability_laplacian(P[:, j]) for j in range(N)]
-    # sum_j kron(D_j, h_j h_j^T) one block row at a time through a cache-sized
-    # buffer; same products and summation order, so bit-identical to the kron sum.
-    M = np.zeros((K, d, K, d))
-    term = np.empty((d, K, d))
+    # (1/N) sum_j kron(D_j, h_j h_j^T), one GEMM per block row a:
+    # M[a, p, b, q] = sum_j (h_j[p] D_j[a, b]) h_j[q], written straight into M.
+    M = np.empty((K, d, K, d))
+    A = np.empty((d, K, N))
     for a in range(K):
-        for j in range(N):
-            h = state.H[:, j]
-            np.multiply(D[j][a][None, :, None], np.outer(h, h)[:, None, :], out=term)
-            M[a] += term
+        np.multiply(H[:, None, :], D[a], out=A)
+        np.matmul(A.reshape(d * K, N), H.T, out=M[a].reshape(d * K, d))
     M /= N
     return M.reshape(K * d, K * d)
 

@@ -81,7 +81,8 @@ def ls_equalization_gap(p: np.ndarray, target: int, delta: float, with_flag: boo
     if abs(p.sum() - 1.0) > 1e-9 or np.any(p < -1e-12):
         raise ValueError("p must be a probability vector")
 
-    p_eq = np.full(K, (1.0 - p[target]) / (K - 1))
+    # not (1 - p[target]) / (K - 1), which rounds to 0 for a tiny non-target mass
+    p_eq = np.full(K, np.delete(p, target).mean())
     p_eq[target] = p[target]
     t = np.full(K, delta / K)
     t[target] += 1.0 - delta

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -84,6 +85,11 @@ class TestOptimize:
         opt = dict(REF_OPTIMIZER, learning_rate=1e4, init_scale=5.0)
         cfg = write_config(tmp_path / "c.yaml", REF_PROBLEM, opt)
         assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        # the rows recorded before the blow-up are kept; no report is written
+        with open(tmp_path / "o" / "trajectory.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == [f.name for f in fields(descent.TrajectoryRow)] and len(rows) >= 2
+        assert not (tmp_path / "o" / "optimize.json").exists()
 
 
 class TestSpectrum:

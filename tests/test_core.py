@@ -186,6 +186,19 @@ class TestEqualizationGap:
             gap = ls_equalization_gap(p, int(rng.integers(K)), 0.3)
             assert gap >= -1e-12
 
+    def test_tiny_non_target_mass_gives_zero(self):
+        # 1 - p[target] rounds to 0 here; the equalized point must still equal p
+        gap, flag = ls_equalization_gap(np.array([1.0, 1e-10, 1e-10]), 0, 0.1, with_flag=True)
+        assert (gap, flag) == (0.0, False)
+
+    def test_sparse_dirichlet_draws_nonnegative(self):
+        # small concentrations give exact zeros and near-one targets
+        rng = np.random.default_rng(11)
+        for _ in range(20_000):
+            K = int(rng.integers(2, 8))
+            p = rng.dirichlet(np.full(K, rng.uniform(0.05, 3.0)))
+            assert ls_equalization_gap(p, int(rng.integers(K)), 0.3) >= 0.0
+
     def test_zero_non_target_saturates_with_flag(self):
         p = np.array([0.7, 0.3, 0.0])
         gap, flag = ls_equalization_gap(p, 0, 0.1, with_flag=True)
