@@ -37,15 +37,8 @@ class LogitDataset:
             raise ValueError(f"labels must lie in [0, {K})")
 
     @property
-    def K(self) -> int:
-        return self.logits.shape[0]
-
-    @property
     def M(self) -> int:
         return self.logits.shape[1]
-
-    def scaled(self, T: float) -> "LogitDataset":
-        return LogitDataset(self.logits / T, self.labels)
 
 
 @dataclass
@@ -69,7 +62,8 @@ class CalibrationReport:
     accuracy: float | None = None
 
 
-def _bins(conf: np.ndarray, correct: np.ndarray, bins: int) -> list[Bin]:
+def reliability_bins(conf: np.ndarray, correct: np.ndarray, bins: int) -> list[Bin]:
+    """Equal-width confidence bins on [0, 1]; last bin closed above."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
     idx = np.minimum((conf * bins).astype(int), bins - 1)
@@ -95,12 +89,6 @@ def _entropy(P: np.ndarray) -> float:
     return float(-terms.sum(axis=0).mean())
 
 
-def reliability_bins(ds: LogitDataset, bins: int = 20) -> list[Bin]:
-    """Equal-width confidence bins on [0, 1]; last bin closed above."""
-    P = softmax_cols(ds.logits)
-    return _bins(P.max(axis=0), P.argmax(axis=0) == ds.labels, bins)
-
-
 def ece_from_bins(bins: list[Bin], M: int) -> float:
     return float(
         sum(b.count / M * abs(b.accuracy - b.mean_confidence) for b in bins)
@@ -111,7 +99,7 @@ def ece(ds: LogitDataset, bins: int = 20) -> CalibrationReport:
     """Expected calibration error report (no temperature fitting)."""
     P = softmax_cols(ds.logits)  # one pass for the bins, the accuracy and the entropy
     correct = P.argmax(axis=0) == ds.labels
-    bin_list = _bins(P.max(axis=0), correct, bins)
+    bin_list = reliability_bins(P.max(axis=0), correct, bins)
     return CalibrationReport(
         ece=ece_from_bins(bin_list, ds.M),
         bins=bin_list,
@@ -158,11 +146,6 @@ def fit_temperature(ds: LogitDataset):
     if nll_after > nll_before:  # boundary cases: keep the no-op temperature
         return 1.0, nll_before, nll_before, "no_improvement"
     return T, nll_before, nll_after, None
-
-
-def prediction_entropy(ds: LogitDataset) -> float:
-    """Average Shannon entropy of the predicted distributions."""
-    return _entropy(softmax_cols(ds.logits))
 
 
 def calibration_report(

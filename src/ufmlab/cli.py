@@ -106,16 +106,6 @@ def resolved_config_dict(cfg: ProblemConfig, opt: OptimizerConfig) -> dict:
             for name, obj in (("problem", cfg), ("optimizer", opt))}
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def write_csv(path: Path, header: list[str], rows):
     """Header line plus one line per row; None is written as an empty field."""
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -129,7 +119,7 @@ def write_csv(path: Path, header: list[str], rows):
 def write_report(path: Path, payload: dict):
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -161,12 +151,9 @@ def read_matrix(path: str) -> np.ndarray:
 def read_labels(path: str) -> np.ndarray:
     """Label file: one 1-based class index per line; returned 0-based."""
     try:
-        labels = np.loadtxt(path, dtype=int, ndmin=1)
+        return np.loadtxt(path, dtype=int, ndmin=1) - 1
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read label file {path}: {exc}") from exc
-    if np.any(labels < 1):
-        raise ConfigError("labels must be 1-based positive integers")
-    return labels - 1
 
 
 def cmd_solve(args) -> int:
@@ -242,7 +229,7 @@ def cmd_spectrum(args) -> int:
     payload = {
         "feature_hessian": _hessian_section(
             spectral.analytic_feature_hessian_spectrum(cfg),
-            spectral.numeric_hessian_features(state, cfg)[0],
+            spectral.numeric_hessian_features(state, cfg),
             degenerate=cfg.K == 2,
         ),
     }
@@ -296,8 +283,13 @@ def cmd_race(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    if not 0.0 <= args.holdout_fraction < 1.0:  # NaN fails too
+        raise ConfigError(f"--holdout-fraction must be in [0, 1), got {args.holdout_fraction}")
     logits = read_matrix(args.logits)
     labels = read_labels(args.labels)
+    K = logits.shape[0]
+    if np.any(labels < 0) or np.any(labels >= K):
+        raise ConfigError(f"label file {args.labels}: labels must lie in 1..{K} ({K} logit rows)")
     try:
         ds = calibration.LogitDataset(logits, labels)
     except ValueError as exc:

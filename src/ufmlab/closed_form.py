@@ -71,12 +71,10 @@ def minimizer_scales(cfg: ProblemConfig) -> tuple[float, float]:
     return ratio * base, base / ratio
 
 
-def class_mean_matrix(cfg: ProblemConfig, P: np.ndarray | None = None) -> np.ndarray:
-    """Optimal centered class-mean feature matrix Hbar (d x K)."""
-    if P is None:
-        P = partial_orthogonal(cfg.d, cfg.K)
+def class_mean_matrix(cfg: ProblemConfig) -> np.ndarray:
+    """Optimal centered class-mean feature matrix Hbar (d x K), for P = I[:, :K]."""
     _, c_h = minimizer_scales(cfg)
-    return c_h * P @ simplex_etf_core(cfg.K)
+    return c_h * partial_orthogonal(cfg.d, cfg.K) @ simplex_etf_core(cfg.K)
 
 
 def global_minimizer(cfg: ProblemConfig, P: np.ndarray | None = None) -> ModelState:

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# The label builders live in config; core re-exports them.
-from .config import ProblemConfig, one_hot_labels, smooth_labels  # noqa: F401
+from .config import ProblemConfig
 
 
 @dataclass

@@ -148,9 +148,9 @@ def run(
     return traj
 
 
-def iterations_to_epsilon(traj: Trajectory, L_star: float, eps: float):
-    """First iteration with loss - L* < eps, or None if never reached."""
-    hits = np.nonzero(traj.loss_history - L_star < eps)[0]
+def iterations_to_epsilon(traj: Trajectory, eps: float):
+    """First iteration with loss - L* < eps (L* = traj.optimal_value), or None if never reached."""
+    hits = np.nonzero(traj.loss_history - traj.optimal_value < eps)[0]
     return int(hits[0]) if len(hits) else None
 
 
@@ -243,8 +243,7 @@ def convergence_race(cfg: ProblemConfig, opt: OptimizerConfig) -> list[RaceRow]:
             traj = run(replace(cfg, delta=delta), replace(opt, seed=seed),
                        compute_metrics=False)
             init_gap = traj.loss_history[0] - traj.optimal_value
-            iters.append(iterations_to_epsilon(
-                traj, traj.optimal_value, RACE_REL_EPS * init_gap))
+            iters.append(iterations_to_epsilon(traj, RACE_REL_EPS * init_gap))
         ce, ls = iters
         won = ls is not None and (ce is None or ls < ce)
         rows.append(RaceRow(seed, ce, ls, won))

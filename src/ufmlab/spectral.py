@@ -33,15 +33,6 @@ class SpectrumReport:
     degenerate: bool = False
     notes: list[str] = field(default_factory=list)
 
-    @property
-    def ambient_dim(self) -> int:
-        return sum(m for _, m in self.eigenpairs)
-
-    def eigenvalues(self) -> np.ndarray:
-        """Full eigenvalue list expanded by multiplicity, ascending."""
-        vals = np.concatenate([[v] * m for v, m in self.eigenpairs])
-        return np.sort(vals)
-
 
 def probability_laplacian(p: np.ndarray) -> np.ndarray:
     """diag(p) - p p^T for a probability vector p.
@@ -50,7 +41,8 @@ def probability_laplacian(p: np.ndarray) -> np.ndarray:
     K x K x N, with the Laplacian of column j in [:, :, j].
     """
     p = np.asarray(p, dtype=float)
-    if np.any(p < 0) or np.any(np.abs(p.sum(axis=0) - 1.0) > 1e-9):
+    # written so that NaN fails it
+    if not (np.all(p >= 0) and np.all(np.abs(p.sum(axis=0) - 1.0) <= 1e-9)):
         raise ValueError("p must be a probability vector")
     K = p.shape[0]
     D = np.zeros((K,) + p.shape)
@@ -59,12 +51,9 @@ def probability_laplacian(p: np.ndarray) -> np.ndarray:
     return D
 
 
-def condition_number(report) -> float:
+def condition_number(eigenvalues) -> float:
     """lambda_max / lambda_min over eigenvalues above ZERO_CUTOFF * lambda_max."""
-    if isinstance(report, SpectrumReport):
-        vals = report.eigenvalues()
-    else:
-        vals = np.sort(np.asarray(report, dtype=float))
+    vals = np.sort(np.asarray(eigenvalues, dtype=float))
     lam_max = vals[-1]
     if lam_max <= 0.0:
         raise ValueError("all-zero spectrum has no condition number")
@@ -133,16 +122,11 @@ def analytic_classifier_hessian_spectrum(cfg: ProblemConfig) -> SpectrumReport:
     return SpectrumReport(pairs, kappa, "analytic", degenerate, notes)
 
 
-def numeric_hessian_features(state: ModelState, cfg: ProblemConfig) -> list[np.ndarray]:
-    """One d x d block (1/N) W D_k W^T per class (first sample of each class)."""
+def numeric_hessian_features(state: ModelState, cfg: ProblemConfig) -> np.ndarray:
+    """The d x d block (1/N) W D W^T of the first sample (class 0)."""
     state.check_shapes(cfg)
-    P = softmax_cols(state.logits())
-    blocks = []
-    for k in range(cfg.K):
-        p = P[:, k * cfg.n]
-        D = probability_laplacian(p)
-        blocks.append(state.W @ D @ state.W.T / cfg.N)
-    return blocks
+    D = probability_laplacian(softmax_cols(state.logits())[:, 0])
+    return state.W @ D @ state.W.T / cfg.N
 
 
 def numeric_hessian_classifier(state: ModelState, cfg: ProblemConfig) -> np.ndarray:
@@ -214,4 +198,4 @@ def numeric_spectrum(vals: np.ndarray, degenerate: bool = False) -> SpectrumRepo
     pairs = cluster_eigenvalues(vals)
     lam_max = vals[-1]
     kappa = math.nan if lam_max <= 0.0 else condition_number(vals)
-    return SpectrumReport(pairs, kappa, "numeric", degenerate or lam_max <= 0.0)
+    return SpectrumReport(pairs, kappa, "numeric", bool(degenerate or lam_max <= 0.0))

@@ -10,8 +10,6 @@ from ufmlab.calibration import (
     ece_from_bins,
     fit_temperature,
     nll,
-    prediction_entropy,
-    reliability_bins,
 )
 from ufmlab.core import softmax_cols
 
@@ -97,12 +95,12 @@ class TestReliabilityBins:
     def test_counts_sum_to_m(self):
         rng = np.random.default_rng(2)
         ds = random_dataset(rng, M=123)
-        bins = reliability_bins(ds, 20)
+        bins = ece(ds, 20).bins
         assert sum(b.count for b in bins) == 123
 
     def test_uniform_confidence_single_bin(self):
         ds = LogitDataset(np.zeros((4, 10)), np.zeros(10, dtype=int))
-        bins = reliability_bins(ds, 20)
+        bins = ece(ds, 20).bins
         occupied = [b for b in bins if b.count > 0]
         assert len(occupied) == 1
         assert occupied[0].count == 10
@@ -114,7 +112,7 @@ class TestReliabilityBins:
         P = softmax_cols(ds.logits)
         conf = P.max(axis=0)
         correct = P.argmax(axis=0) == ds.labels
-        for b in reliability_bins(ds, 10):
+        for b in ece(ds, 10).bins:
             if b.upper == 1.0:
                 mask = (conf >= b.lower) & (conf <= b.upper)
             else:
@@ -184,7 +182,7 @@ class TestTemperature:
             ds = random_dataset(rng, K=3, M=400, sharpness=6.0)
             before = ece(ds, bins=15).ece
             T, _, _, _ = fit_temperature(ds)
-            after = ece(ds.scaled(T), bins=15).ece
+            after = ece(LogitDataset(ds.logits / T, ds.labels), bins=15).ece
             improved += after <= before + 1e-12
         assert improved >= 0.9 * trials
 
@@ -192,20 +190,20 @@ class TestTemperature:
 class TestEntropy:
     def test_uniform_is_log_k(self):
         ds = LogitDataset(np.zeros((5, 7)), np.zeros(7, dtype=int))
-        assert prediction_entropy(ds) == pytest.approx(math.log(5), abs=1e-12)
+        assert ece(ds).mean_entropy == pytest.approx(math.log(5), abs=1e-12)
 
     def test_saturated_is_near_zero(self):
         logits = np.full((3, 4), -50.0)
         logits[0] = 50.0
         ds = LogitDataset(logits, np.zeros(4, dtype=int))
-        assert prediction_entropy(ds) == pytest.approx(0.0, abs=1e-10)
+        assert ece(ds).mean_entropy == pytest.approx(0.0, abs=1e-10)
 
     def test_matches_per_sample_summation(self):
         rng = np.random.default_rng(10)
         ds = random_dataset(rng, K=3, M=20)
         P = softmax_cols(ds.logits)
         expected = np.mean([-(P[:, j] * np.log(P[:, j])).sum() for j in range(20)])
-        assert prediction_entropy(ds) == pytest.approx(expected, rel=1e-12)
+        assert ece(ds).mean_entropy == pytest.approx(expected, rel=1e-12)
 
 
 class TestReport:

@@ -341,6 +341,23 @@ class TestCalibrate:
         (tmp_path / "labels.txt").write_text("0\n" * 60)  # 0 is not 1-based
         assert main(["calibrate", lpath, ypath, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("bad", ["0", "4"])
+    def test_out_of_range_label_named_in_1_based_terms(self, tmp_path, capsys, bad):
+        lpath, ypath, *_ = self.make_files(tmp_path, np.random.default_rng(2))
+        (tmp_path / "labels.txt").write_text("1\n" * 59 + f"{bad}\n")
+        assert main(["calibrate", lpath, ypath, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert ypath in err and "1..3" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("fraction", ["1.5", "-0.3", "nan", "inf", "1.0"])
+    def test_holdout_fraction_outside_0_1_exit_2(self, tmp_path, capsys, fraction):
+        lpath, ypath, *_ = self.make_files(tmp_path, np.random.default_rng(3))
+        assert main(["calibrate", lpath, ypath, "--out", str(tmp_path / "o"),
+                     "--fit-temperature", "--holdout-fraction", fraction]) == 2
+        assert "--holdout-fraction" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 CHECK_CLAIMS = ["nuclear-norm-identity", "factorization-lower-bound", "self-duality",
                 "stationarity", "logit-collapse"]

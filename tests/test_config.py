@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import ufmlab
-from ufmlab import core
 from ufmlab.config import OptimizerConfig, ProblemConfig, one_hot_labels, smooth_labels
 from ufmlab.closed_form import logit_scale
 
@@ -61,8 +60,7 @@ class TestProblemConfigLabels:
         assert set(asdict(cfg)) == {f.name for f in fields(ProblemConfig)}
 
     def test_builders_reexported(self):
-        assert core.one_hot_labels is one_hot_labels
-        assert core.smooth_labels is ufmlab.smooth_labels is smooth_labels
+        assert ufmlab.smooth_labels is smooth_labels
 
 
 class TestOptimizerConfigFinite:

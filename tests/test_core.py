@@ -5,13 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ufmlab.config import ProblemConfig
+from ufmlab.config import ProblemConfig, one_hot_labels, smooth_labels
 from ufmlab.core import (
     ModelState,
     log_softmax_cols,
     loss_and_grad,
-    one_hot_labels,
-    smooth_labels,
     softmax_cols,
     ufm_loss,
 )

@@ -111,14 +111,14 @@ class TestRun:
         assert calls == ["loss_and_grad"] * (traj.rows[-1].iter + 1)
 
     def test_targets_built_once_per_problem(self, monkeypatch):
-        builder = core.one_hot_labels
+        builder = config.one_hot_labels
         calls = []
 
         def counted(K, n):
             calls.append((K, n))
             return builder(K, n)
 
-        for mod in (config, core, closed_form, descent, nc_metrics):
+        for mod in (config, closed_form, descent, nc_metrics):
             if getattr(mod, "one_hot_labels", None) is builder:
                 monkeypatch.setattr(mod, "one_hot_labels", counted)
         # The README config, built here so that nothing is cached on it yet.
@@ -167,16 +167,16 @@ class TestIterationsToEpsilon:
     def test_start_below_epsilon(self):
         state = global_minimizer(REF_CFG)
         traj = run(REF_CFG, REF_OPT, state=state)
-        assert iterations_to_epsilon(traj, traj.optimal_value, 1e-3) == 0
+        assert iterations_to_epsilon(traj, 1e-3) == 0
 
     def test_synthetic_crossing(self):
         losses = np.array([10.0, 9, 8, 7, 6, 5, 4, 0.5, 0.2, 0.1])
         traj = Trajectory(loss_history=losses, optimal_value=0.0)
-        assert iterations_to_epsilon(traj, 0.0, 1.0) == 7
+        assert iterations_to_epsilon(traj, 1.0) == 7
 
     def test_never_reached(self):
         traj = Trajectory(loss_history=np.array([5.0, 4.0]), optimal_value=0.0)
-        assert iterations_to_epsilon(traj, 0.0, 1e-6) is None
+        assert iterations_to_epsilon(traj, 1e-6) is None
 
 
 class TestRace:
@@ -191,9 +191,7 @@ class TestRace:
                                       record_every=10**9, seed=seed)
                 traj = run(replace(cfg, delta=delta), opt, compute_metrics=False)
                 init_gap = traj.loss_history[0] - traj.optimal_value
-                iters[delta] = iterations_to_epsilon(
-                    traj, traj.optimal_value, 1e-4 * init_gap
-                )
+                iters[delta] = iterations_to_epsilon(traj, 1e-4 * init_gap)
             if iters[0.1] is not None and (iters[0.0] is None or iters[0.1] < iters[0.0]):
                 wins += 1
         assert wins >= 9
@@ -206,7 +204,7 @@ class TestRace:
             ce = run(replace(REF_CFG, delta=0.0), replace(opt, seed=r.seed),
                      compute_metrics=False)
             gap = ce.loss_history - ce.optimal_value
-            assert r.iters_ce == iterations_to_epsilon(ce, ce.optimal_value, 1e-4 * gap[0])
+            assert r.iters_ce == iterations_to_epsilon(ce, 1e-4 * gap[0])
             assert r.smoothing_won == (r.iters_ls is not None and
                                        (r.iters_ce is None or r.iters_ls < r.iters_ce))
 
@@ -237,8 +235,7 @@ class TestDeltaSweep:
         for row in rows:
             traj = run(replace(cfg, delta=row.delta), opt)
             assert traj.converged == (row.iters_to_eps is not None)
-            assert row.iters_to_eps == iterations_to_epsilon(
-                traj, traj.optimal_value, opt.loss_tol)
+            assert row.iters_to_eps == iterations_to_epsilon(traj, opt.loss_tol)
 
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import pytest
 from ufmlab.config import ProblemConfig
 from ufmlab.closed_form import global_minimizer, partial_orthogonal
 from ufmlab.nc_metrics import (
+    NC1_UNDEFINED,
     FeatureSet,
     centered_class_means,
     class_statistics,
@@ -86,15 +87,13 @@ class TestNC1:
 
     def test_degenerate_all_zero_flagged(self):
         fs = FeatureSet(H=np.zeros((2, 4)), labels=np.array([0, 0, 1, 1]), K=2)
-        value, flag = nc1(fs, with_flag=True)
-        assert value == 0.0 and flag == "degenerate"
+        assert nc1(fs) == 0.0
 
     def test_undefined_sentinel(self):
         # all class means coincide but samples spread: Sigma_B = 0, Sigma_W != 0
         H = np.array([[1.0, -1.0, 1.0, -1.0]])
         fs = FeatureSet(H=H, labels=np.array([0, 0, 1, 1]), K=2)
-        value, flag = nc1(fs, with_flag=True)
-        assert np.isinf(value) and flag == "undefined"
+        assert nc1(fs) == NC1_UNDEFINED and np.isinf(NC1_UNDEFINED)
 
     def test_permutation_invariance_bitwise(self):
         rng = np.random.default_rng(5)
@@ -212,8 +211,7 @@ class TestClosedFormMetrics:
             P = partial_orthogonal(cfg.d, cfg.K, seed=seed)
             state = global_minimizer(cfg, P)
             fs = FeatureSet.from_state(state, cfg)
-            value, flag = nc1(fs, with_flag=True)
-            assert value < 1e-8
+            assert nc1(fs) < 1e-8
             assert nc2(state.W, fs) < 1e-8
             assert nc3(state.W, fs) < 1e-8
 

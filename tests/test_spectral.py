@@ -8,7 +8,6 @@ from ufmlab.config import ProblemConfig
 from ufmlab.closed_form import class_probabilities, global_minimizer, partial_orthogonal
 from ufmlab.core import softmax_cols
 from ufmlab.spectral import (
-    SpectrumReport,
     analytic_classifier_hessian_spectrum,
     analytic_feature_hessian_spectrum,
     cluster_eigenvalues,
@@ -66,6 +65,10 @@ class TestProbabilityLaplacian:
             probability_laplacian(np.array([0.5, 0.2]))
         with pytest.raises(ValueError, match="probability vector"):
             probability_laplacian(np.array([[0.5, 0.5], [0.5, 0.2]]))
+        with pytest.raises(ValueError, match="probability vector"):
+            probability_laplacian(np.array([np.nan, 0.5, 0.5]))
+        with pytest.raises(ValueError, match="probability vector"):
+            probability_laplacian(np.array([[0.5, np.nan], [0.5, 0.5]]))
 
 
 class TestConditionNumber:
@@ -77,7 +80,8 @@ class TestConditionNumber:
         p_t, _ = class_probabilities(cfg)
         report = analytic_feature_hessian_spectrum(cfg)
         assert report.condition_number == pytest.approx(4 * p_t, rel=1e-12)
-        assert condition_number(report) == pytest.approx(4 * p_t, rel=1e-9)
+        values, mults = zip(*report.eigenpairs)
+        assert condition_number(np.repeat(values, mults)) == pytest.approx(4 * p_t, rel=1e-9)
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -87,12 +91,13 @@ class TestConditionNumber:
 class TestAnalyticSpectra:
     def test_feature_multiplicities_sum_to_d(self):
         for cfg in SPECTRUM_GRID:
-            assert analytic_feature_hessian_spectrum(cfg).ambient_dim == cfg.d
+            report = analytic_feature_hessian_spectrum(cfg)
+            assert sum(m for _, m in report.eigenpairs) == cfg.d
 
     def test_classifier_multiplicities_sum_to_kd(self):
         for cfg in SPECTRUM_GRID:
             report = analytic_classifier_hessian_spectrum(cfg)
-            assert report.ambient_dim == cfg.K * cfg.d
+            assert sum(m for _, m in report.eigenpairs) == cfg.K * cfg.d
 
     def test_kappa_equals_interior_identity(self):
         for cfg in SPECTRUM_GRID:
@@ -140,10 +145,9 @@ class TestNumericHessians:
         for cfg in SPECTRUM_GRID:
             state = global_minimizer(cfg)
             analytic = analytic_feature_hessian_spectrum(cfg)
-            for block in numeric_hessian_features(state, cfg):
-                vals = np.linalg.eigvalsh(block)
-                dev, mults_ok = compare_to_analytic(analytic, vals)
-                assert dev < 1e-6 and mults_ok
+            vals = np.linalg.eigvalsh(numeric_hessian_features(state, cfg))
+            dev, mults_ok = compare_to_analytic(analytic, vals)
+            assert dev < 1e-6 and mults_ok
 
     def test_numeric_matches_analytic_classifier(self):
         # the grid, plus the Kd = 600 and Kd = 1200 sizes of the dense spectrum benchmark
@@ -158,7 +162,7 @@ class TestNumericHessians:
     def test_psd_at_optimum(self):
         cfg = ProblemConfig(K=4, n=2, d=6, delta=0.1)
         state = global_minimizer(cfg)
-        block = numeric_hessian_features(state, cfg)[0]
+        block = numeric_hessian_features(state, cfg)
         vals = np.linalg.eigvalsh(block)
         assert vals[0] > -1e-10 * vals[-1]
         vals = np.linalg.eigvalsh(numeric_hessian_classifier(state, cfg))
@@ -168,8 +172,7 @@ class TestNumericHessians:
         cfg = ProblemConfig(K=3, n=2, d=4, delta=0.1)
         state = global_minimizer(cfg)
         state.W[:] = 0.0
-        for block in numeric_hessian_features(state, cfg):
-            assert np.allclose(block, 0)
+        assert np.allclose(numeric_hessian_features(state, cfg), 0)
 
     def test_zero_features_give_zero_matrix(self):
         cfg = ProblemConfig(K=3, n=2, d=4, delta=0.1)
@@ -205,7 +208,7 @@ class TestNumericHessians:
         for seed in (None, 3, 8):
             P = partial_orthogonal(cfg.d, cfg.K, seed=seed)
             state = global_minimizer(cfg, P)
-            vals.append(np.linalg.eigvalsh(numeric_hessian_features(state, cfg)[0]))
+            vals.append(np.linalg.eigvalsh(numeric_hessian_features(state, cfg)))
         assert np.allclose(vals[0], vals[1], atol=1e-12)
         assert np.allclose(vals[0], vals[2], atol=1e-12)
 
@@ -213,7 +216,7 @@ class TestNumericHessians:
         # second differences of the unregularized loss w.r.t. one feature column
         cfg = ProblemConfig(K=3, n=2, d=4, delta=0.1)
         state = global_minimizer(cfg)
-        block = numeric_hessian_features(state, cfg)[0]
+        block = numeric_hessian_features(state, cfg)
         h = 1e-5
         fd = np.zeros((cfg.d, cfg.d))
         for i in range(cfg.d):
