@@ -143,9 +143,14 @@ def _publish(out: str, name: str, payload: dict, config=None, tables=(), lead=""
 
 def read_matrix(path: str) -> np.ndarray:
     try:
-        return np.loadtxt(path, delimiter=",", ndmin=2)
+        matrix = np.loadtxt(path, delimiter=",", ndmin=2)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read matrix file {path}: {exc}") from exc
+    if not np.isfinite(matrix).all():
+        row, col = np.argwhere(~np.isfinite(matrix))[0]
+        raise ConfigError(f"matrix file {path}: non-finite entry {matrix[row, col]} at "
+                          f"row {row + 1}, column {col + 1}")
+    return matrix
 
 
 def read_labels(path: str) -> np.ndarray:
@@ -288,6 +293,8 @@ def cmd_calibrate(args) -> int:
     logits = read_matrix(args.logits)
     labels = read_labels(args.labels)
     K = logits.shape[0]
+    if K < 2:
+        raise ConfigError(f"logit file {args.logits}: needs one row per class and K >= 2, got {K}")
     if np.any(labels < 0) or np.any(labels >= K):
         raise ConfigError(f"label file {args.labels}: labels must lie in 1..{K} ({K} logit rows)")
     try:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import OptimizerConfig, ProblemConfig
 from .closed_form import logit_scale, mean_logit_matrix, minimizer_scales, optimal_loss
-from .core import ModelState, grad_blocks_norm, loss_and_grad
+from .core import ModelState, Workspace, grad_blocks_norm, loss_and_grad
 from . import nc_metrics
 from . import spectral
 
@@ -92,60 +92,77 @@ def _metrics_row(state, cfg, it, loss, grad_norm, L_star) -> TrajectoryRow:
     )
 
 
-def run(
-    cfg: ProblemConfig,
-    opt: OptimizerConfig,
-    state: ModelState | None = None,
-    compute_metrics: bool = True,
-) -> Trajectory:
+def run(cfg: ProblemConfig, opt: OptimizerConfig, state: ModelState | None = None,
+        compute_metrics: bool = True) -> Trajectory:
     """Heavy-ball gradient descent until loss - L* < loss_tol or max_iters."""
-    if state is None:
-        state = init_state(cfg, opt)
-    else:
-        state = state.copy()
-    L_star = optimal_loss(cfg)
+    return run_stack([cfg], [opt], [state], compute_metrics)[0]
 
-    vel_W = np.zeros_like(state.W)
-    vel_H = np.zeros_like(state.H)
-    vel_b = np.zeros_like(state.b)
 
-    traj = Trajectory(optimal_value=L_star)
-    losses = []
+def run_stack(cfgs, opts, states=None, compute_metrics: bool = True) -> list[Trajectory]:
+    """run for each (cfg, opt, state) member, as one stacked problem.
 
-    def record(it, loss, grads):
-        grad_norm = grad_blocks_norm(grads)
-        if compute_metrics:
-            traj.rows.append(_metrics_row(state, cfg, it, loss, grad_norm, L_star))
-        else:
-            traj.rows.append(
-                TrajectoryRow(it, loss, np.nan, np.nan, np.nan, np.nan, np.nan,
-                              grad_norm, loss - L_star)
-            )
+    The members share K, n, d and every optimizer setting but the seed,
+    which picks a member's initial state when it has none.  Each iteration
+    is one loss_and_grad pass over the members still running; a member
+    leaves the stack when it stops, and its trajectory is the one run gives
+    it alone.
+    """
+    if not cfgs:
+        return []
+    opt = opts[0]
+    if any(replace(o, seed=opt.seed) != opt for o in opts):
+        raise ValueError("stacked runs must share every optimizer setting but the seed")
+    states = [init_state(c, o) if s is None else s
+              for c, o, s in zip(cfgs, opts, states or [None] * len(cfgs))]
+    for s, c in zip(states, cfgs):
+        s.check_shapes(c)
+    ws = Workspace(cfgs)
+    flat = np.stack([np.concatenate([s.W.ravel(), s.H.ravel(), s.b]) for s in states])
+    state, vel = ModelState(*ws.blocks(flat)), np.zeros_like(flat)
+    L_stars = [optimal_loss(c) for c in cfgs]
+    trajs = [Trajectory(optimal_value=L) for L in L_stars]
+    members, L_star = np.arange(len(cfgs)), np.array(L_stars)
+    history = np.empty((min(opt.max_iters, 1023) + 1, len(cfgs)))  # column i: stack slot i
 
-    it = 0
-    while True:
-        loss, grads = loss_and_grad(state, cfg)
-        losses.append(loss)
-        if not np.isfinite(loss) or loss > DIVERGENCE_LOSS:
-            raise DivergenceError(f"loss diverged at iteration {it}: {loss}", traj.rows)
-        converged = loss - L_star < opt.loss_tol
-        if it % opt.record_every == 0 or converged or it == opt.max_iters:
-            record(it, loss, grads)
-        if converged or it >= opt.max_iters:
-            traj.converged = converged
-            break
-        G_W, G_H, g_b = grads
-        vel_W = opt.momentum * vel_W - opt.learning_rate * G_W
-        vel_H = opt.momentum * vel_H - opt.learning_rate * G_H
-        vel_b = opt.momentum * vel_b - opt.learning_rate * g_b
-        state.W += vel_W
-        state.H += vel_H
-        state.b += vel_b
-        it += 1
-
-    traj.loss_history = np.array(losses)
-    traj.final_state = state
-    return traj
+    for it in range(opt.max_iters + 1):  # every member stops by it == max_iters
+        loss, grads = loss_and_grad(state, ws)
+        if it == len(history):
+            history = np.concatenate([history, np.empty_like(history)])
+        history[it] = loss
+        # The loss is never negative, so this catches NaN, inf and blow-ups alike.
+        if not (loss <= DIVERGENCE_LOSS).all():
+            i = np.argmin(loss <= DIVERGENCE_LOSS)
+            j = members[i]
+            raise DivergenceError(f"loss diverged at iteration {it}: {loss[i]} (delta "
+                                  f"{cfgs[j].delta}, seed {opts[j].seed})", trajs[j].rows)
+        converged, keep = loss - L_star < opt.loss_tol, None
+        if converged.any() or it % opt.record_every == 0 or it == opt.max_iters:
+            stop = converged | (it == opt.max_iters)
+            for i in np.flatnonzero(stop | (it % opt.record_every == 0)):
+                j, value = members[i], float(loss[i])
+                member = ModelState(state.W[i], state.H[i], state.b[i])
+                grad_norm = grad_blocks_norm([g[i] for g in grads])
+                trajs[j].rows.append(
+                    _metrics_row(member, cfgs[j], it, value, grad_norm, L_stars[j])
+                    if compute_metrics else
+                    TrajectoryRow(it, value, np.nan, np.nan, np.nan, np.nan, np.nan,
+                                  grad_norm, value - L_stars[j]))
+                if stop[i]:
+                    trajs[j].converged = bool(converged[i])
+                    trajs[j].loss_history = history[: it + 1, i].copy()
+                    trajs[j].final_state = member.copy()
+            if stop.all():
+                return trajs
+            keep = ~stop if stop.any() else None
+        # Heavy ball on the flat stack: vel = momentum vel - lr grad; theta += vel.
+        vel *= opt.momentum
+        vel -= np.multiply(ws.G, opt.learning_rate, out=ws.G)
+        flat += vel
+        if keep is not None:  # the stopped members leave after the step
+            flat, vel, members = flat[keep], vel[keep], members[keep]
+            L_star, history = L_star[keep], history[:, keep]
+            ws.take(keep)
+            state = ModelState(*ws.blocks(flat))
 
 
 def iterations_to_epsilon(traj: Trajectory, eps: float):
@@ -179,40 +196,22 @@ class SweepRow:
         return self.a_delta == 0.0
 
 
-def delta_sweep(
-    cfg_base: ProblemConfig, deltas, opt: OptimizerConfig
-) -> list[SweepRow]:
-    """One descent run plus analytic quantities per smoothing value."""
+def delta_sweep(cfg_base: ProblemConfig, deltas, opt: OptimizerConfig) -> list[SweepRow]:
+    """One descent run per smoothing value, all in one stack, plus analytic quantities."""
+    cfgs = [replace(cfg_base, delta=delta) for delta in deltas]
     rows = []
-    for delta in deltas:
-        cfg = replace(cfg_base, delta=delta)
+    for cfg, traj in zip(cfgs, run_stack(cfgs, [opt] * len(cfgs))):
         a = logit_scale(cfg)
         # ||W|| of the minimizer: W = c_w P (K I - 11^T) and ||K I - 11^T|| = K sqrt(K - 1).
         w_norm = minimizer_scales(cfg)[0] * cfg.K * math.sqrt(cfg.K - 1)
-        if a == 0.0:
-            kappa_h = kappa_w = float("nan")
-        else:
+        kappa_h = kappa_w = float("nan")
+        if a != 0.0:
             kappa_h = spectral.analytic_feature_hessian_spectrum(cfg).condition_number
-            kappa_w = (
-                spectral.analytic_classifier_hessian_spectrum(cfg).condition_number
-                if cfg.K >= 3
-                else float("nan")
-            )
-        traj = run(cfg, opt)
+            if cfg.K >= 3:
+                kappa_w = spectral.analytic_classifier_hessian_spectrum(cfg).condition_number
         last = traj.rows[-1]
-        rows.append(
-            SweepRow(
-                delta=delta,
-                a_delta=a,
-                w_norm=w_norm,
-                kappa_h=kappa_h,
-                kappa_w=kappa_w,
-                iters_to_eps=last.iter if traj.converged else None,
-                nc1=last.nc1,
-                nc2=last.nc2,
-                nc3=last.nc3,
-            )
-        )
+        rows.append(SweepRow(cfg.delta, a, w_norm, kappa_h, kappa_w,
+                             last.iter if traj.converged else None, last.nc1, last.nc2, last.nc3))
     return rows
 
 
@@ -236,15 +235,10 @@ def convergence_race(cfg: ProblemConfig, opt: OptimizerConfig) -> list[RaceRow]:
     the loss gap falls below RACE_REL_EPS times its initial value (None if
     max_iters comes first).
     """
-    rows = []
-    for seed in range(opt.seed, opt.seed + RACE_SEEDS):
-        iters = []
-        for delta in (0.0, cfg.delta):
-            traj = run(replace(cfg, delta=delta), replace(opt, seed=seed),
-                       compute_metrics=False)
-            init_gap = traj.loss_history[0] - traj.optimal_value
-            iters.append(iterations_to_epsilon(traj, RACE_REL_EPS * init_gap))
-        ce, ls = iters
-        won = ls is not None and (ce is None or ls < ce)
-        rows.append(RaceRow(seed, ce, ls, won))
-    return rows
+    seeds = range(opt.seed, opt.seed + RACE_SEEDS)
+    members = [(replace(cfg, delta=delta), replace(opt, seed=seed))
+               for seed in seeds for delta in (0.0, cfg.delta)]
+    iters = [iterations_to_epsilon(t, RACE_REL_EPS * (t.loss_history[0] - t.optimal_value))
+             for t in run_stack(*zip(*members), compute_metrics=False)]
+    return [RaceRow(seed, ce, ls, ls is not None and (ce is None or ls < ce))
+            for seed, ce, ls in zip(seeds, iters[::2], iters[1::2])]

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from ufmlab.closed_form import optimal_loss
 from ufmlab.config import ProblemConfig
 from ufmlab.core import ModelState, ufm_loss
 
@@ -57,3 +58,41 @@ def phi_unregularized(state: ModelState, cfg: ProblemConfig) -> float:
         + 0.5 * cfg.lambda_b * np.sum(state.b**2)
     )
     return ufm_loss(state, cfg) - reg
+
+
+def reference_loss_and_grad(state: ModelState, cfg: ProblemConfig):
+    """The one-problem kernel written with fresh temporaries: the arithmetic,
+    in the same order, that core.loss_and_grad does in place on a stack."""
+    Yd = cfg.targets
+    Z = state.W.T @ state.H + state.b[:, None]
+    shifted = Z - Z.max(axis=0, keepdims=True)
+    e = np.exp(shifted)
+    s = e.sum(axis=0, keepdims=True)
+    ce = (Yd * -(shifted - np.log(s))).sum(axis=0).sum() / cfg.N
+    reg = (
+        0.5 * cfg.lambda_w * np.sum(state.W**2)
+        + 0.5 * cfg.lambda_h * np.sum(state.H**2)
+        + 0.5 * cfg.lambda_b * np.sum(state.b**2)
+    )
+    dZ = (e / s - Yd) / cfg.N
+    G_W = state.H @ dZ.T + cfg.lambda_w * state.W
+    G_H = state.W @ dZ + cfg.lambda_h * state.H
+    g_b = dZ.sum(axis=1) + cfg.lambda_b * state.b
+    return float(ce + reg), (G_W, G_H, g_b)
+
+
+def reference_losses(cfg: ProblemConfig, opt, state: ModelState) -> np.ndarray:
+    """Loss history of heavy-ball descent written as a plain per-problem loop."""
+    state = state.copy()
+    L_star = optimal_loss(cfg)
+    vel = [np.zeros_like(x) for x in (state.W, state.H, state.b)]
+    losses = []
+    for it in range(opt.max_iters + 1):
+        loss, grads = reference_loss_and_grad(state, cfg)
+        losses.append(loss)
+        if loss - L_star < opt.loss_tol:
+            break
+        for x, v, g in zip((state.W, state.H, state.b), vel, grads):
+            v[...] = opt.momentum * v - opt.learning_rate * g
+            x += v
+    return np.array(losses)

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,6 +149,15 @@ class TestSweep:
         cfg = write_config(tmp_path / "c.yaml", REF_PROBLEM, opt,
                            extra={"sweep": {"deltas": [0.0, 0.1]}})
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+    def test_diverging_member_exit_3_names_it(self, tmp_path, capsys):
+        opt = dict(REF_OPTIMIZER, learning_rate=1e4, init_scale=5.0, seed=7)
+        cfg = write_config(tmp_path / "c.yaml", REF_PROBLEM, opt)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--deltas", "0,0.1"]) == 3
+        err = capsys.readouterr().err
+        assert "diverged at iteration" in err and "seed 7" in err
+        assert not (tmp_path / "o" / "sweep.csv").exists()
 
     def test_no_deltas_exit_2(self, tmp_path):
         cfg = write_config(tmp_path / "c.yaml", REF_PROBLEM, REF_OPTIMIZER)
@@ -348,6 +358,23 @@ class TestCalibrate:
         assert main(["calibrate", lpath, ypath, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert ypath in err and "1..3" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+    def test_non_finite_logit_exit_2_names_file_and_entry(self, tmp_path, capsys, entry):
+        lpath, ypath, *_ = self.make_files(tmp_path, np.random.default_rng(4), M=3)
+        Path(lpath).write_text(f"1,2,3\n4,5,6\n7,{entry},9\n")
+        assert main(["calibrate", lpath, ypath, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert lpath in err and "row 3, column 2" in err and entry in err
+        assert not (tmp_path / "o").exists()
+
+    def test_one_class_logits_exit_2_names_file(self, tmp_path, capsys):
+        lpath, ypath, *_ = self.make_files(tmp_path, np.random.default_rng(5), M=3, K=1)
+        assert main(["calibrate", lpath, ypath, "--out", str(tmp_path / "o"),
+                     "--fit-temperature"]) == 2
+        err = capsys.readouterr().err
+        assert lpath in err and "K >= 2" in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("fraction", ["1.5", "-0.3", "nan", "inf", "1.0"])

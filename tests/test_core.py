@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ufmlab.config import ProblemConfig, one_hot_labels, smooth_labels
 from ufmlab.core import (
     ModelState,
+    Workspace,
     log_softmax_cols,
     loss_and_grad,
     softmax_cols,
@@ -15,7 +16,7 @@ from ufmlab.core import (
 )
 from ufmlab.theory import SATURATION_VALUE, ls_equalization_gap
 
-from helpers import fd_gradient, pack, random_state
+from helpers import CONFIG_GRID, fd_gradient, pack, random_state, reference_loss_and_grad
 
 
 class TestSoftmax:
@@ -155,6 +156,60 @@ class TestGradient:
             numeric = fd_gradient(cfg, state)
             rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-12)
             assert rel < 1e-6
+
+
+def stacked(states, ws):
+    """The states as views of one flat B x P array, the layout descent runs on."""
+    flat = np.stack([pack(s) for s in states])
+    return ModelState(*ws.blocks(flat))
+
+
+class TestStackedKernel:
+    def test_one_problem_matches_reference(self):
+        rng = np.random.default_rng(3)
+        for cfg in CONFIG_GRID[::7]:
+            state = random_state(cfg, rng)
+            loss, grads = loss_and_grad(state, cfg)
+            ref_loss, ref_grads = reference_loss_and_grad(state, cfg)
+            assert type(loss) is float and loss == ref_loss == ufm_loss(state, cfg)
+            assert all(np.array_equal(g, r) for g, r in zip(grads, ref_grads))
+
+    def test_each_member_equals_its_own_pass(self):
+        rng = np.random.default_rng(4)
+        cfgs = [ProblemConfig(K=4, n=3, d=6, delta=delta, lambda_w=lam, lambda_h=2 * lam,
+                              lambda_b=lam / 2)
+                for delta in (0.0, 0.1, 0.5) for lam in (1e-3, 5e-2)]
+        states = [random_state(c, rng, scale=float(rng.uniform(0.1, 3))) for c in cfgs]
+        ws = Workspace(cfgs)
+        loss, grads = loss_and_grad(stacked(states, ws), ws)
+        assert loss.shape == (len(cfgs),) and grads[1].shape == (len(cfgs), 6, 12)
+        for i, (state, cfg) in enumerate(zip(states, cfgs)):
+            one_loss, one_grads = loss_and_grad(state, cfg)
+            assert loss[i] == one_loss
+            assert all(np.array_equal(g[i], r) for g, r in zip(grads, one_grads))
+
+    def test_take_keeps_members_in_order(self):
+        rng = np.random.default_rng(5)
+        cfgs = [ProblemConfig(K=3, n=2, d=4, delta=delta) for delta in (0.0, 0.2, 0.4, 0.6)]
+        states = [random_state(c, rng) for c in cfgs]
+        ws = Workspace(cfgs)
+        loss_and_grad(stacked(states, ws), ws)
+        keep = np.array([False, True, False, True])
+        ws.take(keep)
+        loss, grads = loss_and_grad(stacked([states[1], states[3]], ws), ws)
+        for i, j in enumerate((1, 3)):
+            one_loss, one_grads = loss_and_grad(states[j], cfgs[j])
+            assert loss[i] == one_loss
+            assert all(np.array_equal(g[i], r) for g, r in zip(grads, one_grads))
+
+    def test_blocks_are_views(self):
+        cfg = ProblemConfig(K=3, n=2, d=4)
+        flat = np.zeros((2, 4 * 3 + 4 * 6 + 3))
+        W, H, b = Workspace([cfg, cfg]).blocks(flat)
+        W[1] += 1.0
+        H[0] += 2.0
+        b[1] += 3.0
+        assert flat.sum() == 12 + 2 * 24 + 3 * 3
 
 
 class TestEqualizationGap:

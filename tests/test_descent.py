@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -15,9 +15,10 @@ from ufmlab.descent import (
     iterations_to_epsilon,
     mean_logit_distance,
     run,
+    run_stack,
 )
 
-from helpers import CONFIG_GRID
+from helpers import CONFIG_GRID, reference_losses
 
 
 REF_CFG = ProblemConfig(K=3, n=2, d=4, delta=0.1, lambda_w=5e-3, lambda_h=5e-3)
@@ -161,6 +162,90 @@ class TestRun:
         row = descent._metrics_row(state, REF_CFG, 0, loss, 0.0, 0.0)
         assert len(calls) == 1
         assert np.all(np.isfinite([row.nc1, row.nc2, row.nc3, row.w_norm, row.h_mean_norm]))
+
+
+def assert_same_trajectory(got, want):
+    assert np.array_equal(got.loss_history, want.loss_history)
+    assert got.optimal_value == want.optimal_value and got.converged == want.converged
+    assert len(got.rows) == len(want.rows)
+    for a, b in zip(got.rows, want.rows):
+        assert np.array_equal(astuple(a), astuple(b), equal_nan=True)
+    for name in ("W", "H", "b"):
+        assert np.array_equal(getattr(got.final_state, name), getattr(want.final_state, name))
+
+
+class TestRunStack:
+    # delta x seed x lambda; delta = 0.98 is degenerate (a = 0), and at lambda
+    # 5e-3 it stops at max_iters.
+    GRID = [(replace(REF_CFG, delta=delta, lambda_w=lam, lambda_h=lam), replace(REF_OPT, seed=seed))
+            for delta in (0.0, 0.1, 0.98) for seed in (0, 1) for lam in (5e-3, 1e-2)]
+    OPT = replace(REF_OPT, loss_tol=1e-7, max_iters=400, record_every=7)
+
+    @pytest.mark.parametrize("compute_metrics", [True, False])
+    def test_members_equal_their_own_runs(self, compute_metrics):
+        cfgs = [c for c, _ in self.GRID]
+        opts = [replace(self.OPT, seed=o.seed) for _, o in self.GRID]
+        trajs = run_stack(cfgs, opts, compute_metrics=compute_metrics)
+        stops = [t.rows[-1].iter for t in trajs]
+        # Members leave from the middle of the stack, not only from its end,
+        # some stop off the record grid, and the degenerate ones hit max_iters.
+        assert stops != sorted(stops, reverse=True)
+        assert any(it % self.OPT.record_every for it in stops)
+        assert [t.converged for t in trajs] == [(c.delta, c.lambda_w) != (0.98, 5e-3) for c in cfgs]
+        for cfg, opt, traj in zip(cfgs, opts, trajs):
+            assert_same_trajectory(traj, run(cfg, opt, compute_metrics=compute_metrics))
+
+    def test_given_states_are_not_modified(self):
+        states = [init_state(REF_CFG, replace(REF_OPT, seed=s)) for s in (0, 1)]
+        before = [s.copy() for s in states]
+        trajs = run_stack([REF_CFG] * 2, [self.OPT] * 2, states)
+        for state, old, traj in zip(states, before, trajs):
+            assert np.array_equal(state.H, old.H) and not np.array_equal(traj.final_state.H, old.H)
+            assert_same_trajectory(traj, run(REF_CFG, self.OPT, state=old))
+
+    @pytest.mark.parametrize("cfg", [REF_CFG, ProblemConfig(K=10, n=5, d=12, delta=0.3),
+                                     ProblemConfig(K=4, n=3, d=5, delta=0.0, lambda_b=1e-2)])
+    def test_run_matches_the_reference_loop(self, cfg):
+        opt = replace(REF_OPT, loss_tol=1e-6, max_iters=2000)
+        traj = run(cfg, opt, compute_metrics=False)
+        assert traj.converged
+        assert np.array_equal(traj.loss_history, reference_losses(cfg, opt, init_state(cfg, opt)))
+
+    def test_sweep_makes_one_pass_per_iteration_of_its_longest_member(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[0].W))
+            return core.loss_and_grad(*args)
+
+        monkeypatch.setattr(descent, "loss_and_grad", counted)
+        rows = delta_sweep(REF_CFG, [0.0, 0.1, 0.3], replace(REF_OPT, loss_tol=1e-7))
+        iters = [r.iters_to_eps for r in rows]
+        assert len(set(iters)) == 3
+        assert len(calls) == max(iters) + 1 < sum(i + 1 for i in iters)
+        # The stack shrinks as members converge.
+        assert calls[0] == 3 and calls[-1] == 1
+
+    def test_diverging_member_is_named(self):
+        # lr * lambda far above the heavy-ball stability bound 2 (1 + momentum).
+        bad = replace(REF_CFG, delta=0.3, lambda_w=20.0, lambda_h=20.0)
+        opts = [replace(REF_OPT, seed=3)] * 2
+        with pytest.raises(DivergenceError) as stacked:
+            run_stack([REF_CFG, bad], opts)
+        with pytest.raises(DivergenceError) as alone:
+            run(bad, opts[1])
+        assert str(stacked.value) == str(alone.value)
+        assert "delta 0.3" in str(alone.value) and "seed 3" in str(alone.value)
+        assert "iteration" in str(alone.value) and "iteration 0:" not in str(alone.value)
+        assert [astuple(r) for r in stacked.value.rows] == [astuple(r) for r in alone.value.rows]
+
+    def test_empty_stack(self):
+        assert run_stack([], []) == []
+        assert delta_sweep(REF_CFG, [], REF_OPT) == []
+
+    def test_optimizer_settings_must_match(self):
+        with pytest.raises(ValueError, match="optimizer"):
+            run_stack([REF_CFG] * 2, [REF_OPT, replace(REF_OPT, learning_rate=0.1)])
 
 
 class TestIterationsToEpsilon:
