@@ -30,9 +30,12 @@ class ModelState:
 
     def check_shapes(self, cfg: ProblemConfig):
         d, K, N = cfg.d, cfg.K, cfg.N
-        for name, want in (("W", (d, K)), ("H", (d, N)), ("b", (K,))):
-            if getattr(self, name).shape != want:
-                raise ValueError(f"{name} has shape {getattr(self, name).shape}, expected {want}")
+        if self.W.shape != (d, K):
+            raise ValueError(f"W has shape {self.W.shape}, expected {(d, K)}")
+        if self.H.shape != (d, N):
+            raise ValueError(f"H has shape {self.H.shape}, expected {(d, N)}")
+        if self.b.shape != (K,):
+            raise ValueError(f"b has shape {self.b.shape}, expected {(K,)}")
 
     def logits(self) -> np.ndarray:
         """Z = W^T H + b 1^T, shape K x N."""
@@ -112,7 +115,7 @@ def _forward(state: ModelState, ws: Workspace) -> np.ndarray:
     dispatch costs more than the arithmetic at paper scale.)
     """
     W, H, b, Z, m, s = state.W, state.H, state.b, ws.Z, ws.m, ws.s
-    np.matmul(W.mT, H, out=Z)
+    np.matmul(np.swapaxes(W, -1, -2), H, out=Z)
     Z += b[..., None]
     Z -= np.maximum.reduce(Z, axis=-2, keepdims=True, out=m)
     np.add.reduce(np.exp(Z, out=ws.E), axis=-2, keepdims=True, out=s)
@@ -145,7 +148,7 @@ def loss_and_grad(state: ModelState, cfg):
     dZ /= ws.s
     dZ -= ws.targets
     dZ /= ws.dims[2]
-    np.matmul(state.H, dZ.mT, out=G[0])
+    np.matmul(state.H, np.swapaxes(dZ, -1, -2), out=G[0])
     np.matmul(state.W, dZ, out=G[1])
     np.add.reduce(dZ, axis=-1, out=G[2])
     for x, lam, t in zip((state.W, state.H, state.b), ws.decay, ws.t_blocks):

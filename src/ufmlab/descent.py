@@ -10,6 +10,7 @@ minimizer's orthogonal factor is not unique.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -92,28 +93,48 @@ def _metrics_row(state, cfg, it, loss, grad_norm, L_star) -> TrajectoryRow:
     )
 
 
-def run(cfg: ProblemConfig, opt: OptimizerConfig, state: ModelState | None = None,
-        compute_metrics: bool = True) -> Trajectory:
+def run(
+    cfg: ProblemConfig,
+    opt: OptimizerConfig,
+    state: ModelState | None = None,
+    compute_metrics: bool = True,
+) -> Trajectory:
     """Heavy-ball gradient descent until loss - L* < loss_tol or max_iters."""
-    return run_stack([cfg], [opt], [state], compute_metrics)[0]
+    return next(run_stack([cfg], opt, [opt.seed], [state], compute_metrics))
 
 
-def run_stack(cfgs, opts, states=None, compute_metrics: bool = True) -> list[Trajectory]:
-    """run for each (cfg, opt, state) member, as one stacked problem.
+# The reused arrays of one stack stay within this many bytes; longer member
+# lists run as successive stacks.  Stacking saves per-call overhead, which
+# only weighs on small problems: at K=10, n=5, d=12 over a hundred members
+# fit, from K=10, n=100, d=64 up one does.
+STACK_BYTES = 2**22
 
-    The members share K, n, d and every optimizer setting but the seed,
-    which picks a member's initial state when it has none.  Each iteration
-    is one loss_and_grad pass over the members still running; a member
-    leaves the stack when it stops, and its trajectory is the one run gives
-    it alone.
+
+def run_stack(
+    cfgs, opt, seeds, states=None, compute_metrics: bool = True
+) -> Iterator[Trajectory]:
+    """run(cfgs[i], opt with seed seeds[i], states[i]) for each member, as stacked problems.
+
+    The members share K, n and d; a member's seed picks its initial state
+    when it has none.  Each iteration is one loss_and_grad pass over the
+    members still running; a member leaves the stack when it stops, and its
+    trajectory is the one run gives it alone.  Trajectories are yielded in
+    member order as each stack finishes, so a caller that keeps none of them
+    holds at most one stack's final states.
     """
     if not cfgs:
-        return []
-    opt = opts[0]
-    if any(replace(o, seed=opt.seed) != opt for o in opts):
-        raise ValueError("stacked runs must share every optimizer setting but the seed")
-    states = [init_state(c, o) if s is None else s
-              for c, o, s in zip(cfgs, opts, states or [None] * len(cfgs))]
+        return
+    states = states or [None] * len(cfgs)
+    d, K, N = cfgs[0].d, cfgs[0].K, cfgs[0].N
+    # Per member: flat, vel, G and t (P floats each), and Z, E and targets (K x N each).
+    width = max(1, STACK_BYTES // (8 * (4 * (d * (K + N) + K) + 3 * K * N)))
+    if len(cfgs) > width:
+        for i in range(0, len(cfgs), width):
+            yield from run_stack(cfgs[i : i + width], opt, seeds[i : i + width],
+                                 states[i : i + width], compute_metrics)
+        return
+    states = [init_state(c, replace(opt, seed=seed)) if s is None else s
+              for c, seed, s in zip(cfgs, seeds, states)]
     for s, c in zip(states, cfgs):
         s.check_shapes(c)
     ws = Workspace(cfgs)
@@ -134,7 +155,7 @@ def run_stack(cfgs, opts, states=None, compute_metrics: bool = True) -> list[Tra
             i = np.argmin(loss <= DIVERGENCE_LOSS)
             j = members[i]
             raise DivergenceError(f"loss diverged at iteration {it}: {loss[i]} (delta "
-                                  f"{cfgs[j].delta}, seed {opts[j].seed})", trajs[j].rows)
+                                  f"{cfgs[j].delta}, seed {seeds[j]})", trajs[j].rows)
         converged, keep = loss - L_star < opt.loss_tol, None
         if converged.any() or it % opt.record_every == 0 or it == opt.max_iters:
             stop = converged | (it == opt.max_iters)
@@ -152,7 +173,8 @@ def run_stack(cfgs, opts, states=None, compute_metrics: bool = True) -> list[Tra
                     trajs[j].loss_history = history[: it + 1, i].copy()
                     trajs[j].final_state = member.copy()
             if stop.all():
-                return trajs
+                yield from trajs
+                return
             keep = ~stop if stop.any() else None
         # Heavy ball on the flat stack: vel = momentum vel - lr grad; theta += vel.
         vel *= opt.momentum
@@ -196,22 +218,39 @@ class SweepRow:
         return self.a_delta == 0.0
 
 
-def delta_sweep(cfg_base: ProblemConfig, deltas, opt: OptimizerConfig) -> list[SweepRow]:
-    """One descent run per smoothing value, all in one stack, plus analytic quantities."""
+def delta_sweep(
+    cfg_base: ProblemConfig, deltas, opt: OptimizerConfig
+) -> list[SweepRow]:
+    """One descent run plus analytic quantities per smoothing value; the runs share a stack."""
     cfgs = [replace(cfg_base, delta=delta) for delta in deltas]
     rows = []
-    for cfg, traj in zip(cfgs, run_stack(cfgs, [opt] * len(cfgs))):
+    for cfg, traj in zip(cfgs, run_stack(cfgs, opt, [opt.seed] * len(cfgs))):
         a = logit_scale(cfg)
         # ||W|| of the minimizer: W = c_w P (K I - 11^T) and ||K I - 11^T|| = K sqrt(K - 1).
         w_norm = minimizer_scales(cfg)[0] * cfg.K * math.sqrt(cfg.K - 1)
-        kappa_h = kappa_w = float("nan")
-        if a != 0.0:
+        if a == 0.0:
+            kappa_h = kappa_w = float("nan")
+        else:
             kappa_h = spectral.analytic_feature_hessian_spectrum(cfg).condition_number
-            if cfg.K >= 3:
-                kappa_w = spectral.analytic_classifier_hessian_spectrum(cfg).condition_number
+            kappa_w = (
+                spectral.analytic_classifier_hessian_spectrum(cfg).condition_number
+                if cfg.K >= 3
+                else float("nan")
+            )
         last = traj.rows[-1]
-        rows.append(SweepRow(cfg.delta, a, w_norm, kappa_h, kappa_w,
-                             last.iter if traj.converged else None, last.nc1, last.nc2, last.nc3))
+        rows.append(
+            SweepRow(
+                delta=cfg.delta,
+                a_delta=a,
+                w_norm=w_norm,
+                kappa_h=kappa_h,
+                kappa_w=kappa_w,
+                iters_to_eps=last.iter if traj.converged else None,
+                nc1=last.nc1,
+                nc2=last.nc2,
+                nc3=last.nc3,
+            )
+        )
     return rows
 
 
@@ -235,10 +274,9 @@ def convergence_race(cfg: ProblemConfig, opt: OptimizerConfig) -> list[RaceRow]:
     the loss gap falls below RACE_REL_EPS times its initial value (None if
     max_iters comes first).
     """
-    seeds = range(opt.seed, opt.seed + RACE_SEEDS)
-    members = [(replace(cfg, delta=delta), replace(opt, seed=seed))
-               for seed in seeds for delta in (0.0, cfg.delta)]
+    seeds = [seed for seed in range(opt.seed, opt.seed + RACE_SEEDS) for _ in range(2)]
+    cfgs = [replace(cfg, delta=0.0), cfg] * RACE_SEEDS  # two configs: one targets array each
     iters = [iterations_to_epsilon(t, RACE_REL_EPS * (t.loss_history[0] - t.optimal_value))
-             for t in run_stack(*zip(*members), compute_metrics=False)]
+             for t in run_stack(cfgs, opt, seeds, compute_metrics=False)]
     return [RaceRow(seed, ce, ls, ls is not None and (ce is None or ls < ce))
-            for seed, ce, ls in zip(seeds, iters[::2], iters[1::2])]
+            for seed, ce, ls in zip(seeds[::2], iters[::2], iters[1::2])]

@@ -185,7 +185,9 @@ class TestRunStack:
     def test_members_equal_their_own_runs(self, compute_metrics):
         cfgs = [c for c, _ in self.GRID]
         opts = [replace(self.OPT, seed=o.seed) for _, o in self.GRID]
-        trajs = run_stack(cfgs, opts, compute_metrics=compute_metrics)
+        seeds = [o.seed for o in opts]
+        trajs = list(run_stack(cfgs, self.OPT, seeds, compute_metrics=compute_metrics))
+        assert len(cfgs) * 8 * (4 * 39 + 3 * 18) <= descent.STACK_BYTES  # one stack
         stops = [t.rows[-1].iter for t in trajs]
         # Members leave from the middle of the stack, not only from its end,
         # some stop off the record grid, and the degenerate ones hit max_iters.
@@ -198,7 +200,7 @@ class TestRunStack:
     def test_given_states_are_not_modified(self):
         states = [init_state(REF_CFG, replace(REF_OPT, seed=s)) for s in (0, 1)]
         before = [s.copy() for s in states]
-        trajs = run_stack([REF_CFG] * 2, [self.OPT] * 2, states)
+        trajs = list(run_stack([REF_CFG] * 2, self.OPT, [0, 0], states))
         for state, old, traj in zip(states, before, trajs):
             assert np.array_equal(state.H, old.H) and not np.array_equal(traj.final_state.H, old.H)
             assert_same_trajectory(traj, run(REF_CFG, self.OPT, state=old))
@@ -229,23 +231,36 @@ class TestRunStack:
     def test_diverging_member_is_named(self):
         # lr * lambda far above the heavy-ball stability bound 2 (1 + momentum).
         bad = replace(REF_CFG, delta=0.3, lambda_w=20.0, lambda_h=20.0)
-        opts = [replace(REF_OPT, seed=3)] * 2
+        opt = replace(REF_OPT, seed=3)
         with pytest.raises(DivergenceError) as stacked:
-            run_stack([REF_CFG, bad], opts)
+            list(run_stack([REF_CFG, bad], opt, [3, 3]))
         with pytest.raises(DivergenceError) as alone:
-            run(bad, opts[1])
+            run(bad, opt)
         assert str(stacked.value) == str(alone.value)
         assert "delta 0.3" in str(alone.value) and "seed 3" in str(alone.value)
         assert "iteration" in str(alone.value) and "iteration 0:" not in str(alone.value)
         assert [astuple(r) for r in stacked.value.rows] == [astuple(r) for r in alone.value.rows]
 
     def test_empty_stack(self):
-        assert run_stack([], []) == []
+        assert list(run_stack([], REF_OPT, [])) == []
         assert delta_sweep(REF_CFG, [], REF_OPT) == []
 
-    def test_optimizer_settings_must_match(self):
-        with pytest.raises(ValueError, match="optimizer"):
-            run_stack([REF_CFG] * 2, [REF_OPT, replace(REF_OPT, learning_rate=0.1)])
+    def test_members_beyond_the_byte_budget_run_in_successive_stacks(self, monkeypatch):
+        cfgs = [c for c, _ in self.GRID]
+        seeds = [o.seed for _, o in self.GRID]
+        whole = list(run_stack(cfgs, self.OPT, seeds))
+        # K=3, n=2, d=4: 8 * (4 * 39 + 3 * 18) = 1680 bytes a member.
+        monkeypatch.setattr(descent, "STACK_BYTES", 5 * 1680)
+        widths = []
+
+        def counted(state, ws):
+            widths.append(len(state.W))
+            return core.loss_and_grad(state, ws)
+
+        monkeypatch.setattr(descent, "loss_and_grad", counted)
+        for got, want in zip(run_stack(cfgs, self.OPT, seeds), whole):
+            assert_same_trajectory(got, want)
+        assert widths[0] == max(widths) == 5
 
 
 class TestIterationsToEpsilon:
