@@ -34,11 +34,6 @@ def _require_integers(obj, names: tuple[str, ...]):
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True)
 class ProblemConfig:
     """One unconstrained-feature-model instance.
@@ -46,9 +41,8 @@ class ProblemConfig:
     K classes, n samples per class, feature dimension d, smoothing
     parameter delta in [0, 1), and L2 weights for the classifier,
     the features, and the bias.  The sample layout is class-major:
-    column k*n + i holds sample i of class k.  `labels` and `targets` are
-    built on first use and cached on the instance (read-only arrays);
-    `dataclasses.replace` gives a config with a fresh cache.
+    column k*n + i holds sample i of class k.  `labels` is built on first
+    use and cached on the instance (a read-only array).
     """
 
     K: int
@@ -92,12 +86,9 @@ class ProblemConfig:
     @cached_property
     def labels(self) -> np.ndarray:
         """Class index of each sample column (length N)."""
-        return _read_only(np.repeat(np.arange(self.K), self.n))
-
-    @cached_property
-    def targets(self) -> np.ndarray:
-        """Smoothed one-hot targets (1 - delta) Y + delta / K (K x N)."""
-        return _read_only(smooth_labels(one_hot_labels(self.K, self.n), self.delta))
+        labels = np.repeat(np.arange(self.K), self.n)
+        labels.flags.writeable = False
+        return labels
 
 
 @dataclass(frozen=True)

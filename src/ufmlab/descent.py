@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import OptimizerConfig, ProblemConfig
 from .closed_form import logit_scale, mean_logit_matrix, minimizer_scales, optimal_loss
-from .core import ModelState, Workspace, grad_blocks_norm, loss_and_grad
+from .core import ModelState, Workspace, loss_and_grad
 from . import nc_metrics
 from . import spectral
 
@@ -68,29 +68,18 @@ def init_state(cfg: ProblemConfig, opt: OptimizerConfig) -> ModelState:
     )
 
 
-def _metrics_row(state, cfg, it, loss, grad_norm, L_star) -> TrajectoryRow:
-    fs = nc_metrics.FeatureSet.from_state(state, cfg)
-    try:
-        v1 = nc_metrics.nc1(fs)
-    except ValueError:
-        v1 = float("nan")
-    try:
-        v2 = nc_metrics.nc2(state.W, fs)
-        v3 = nc_metrics.nc3(state.W, fs)
-    except ValueError:
-        v2 = v3 = float("nan")
-    w_norm, h_norm = nc_metrics.norm_summary(state.W, fs)
-    return TrajectoryRow(
-        iter=it,
-        loss=loss,
-        nc1=float(v1),
-        nc2=v2,
-        nc3=v3,
-        w_norm=w_norm,
-        h_mean_norm=h_norm,
-        grad_norm=grad_norm,
-        loss_gap=loss - L_star,
-    )
+def _stack_rows(state, ws, cfg, it, loss, L_star, compute_metrics) -> list[TrajectoryRow]:
+    """Row it of every member of the stack; ws holds the gradient of state."""
+    # ws.t is the pass's scratch, free until the next pass.
+    grad_norm = np.sqrt(np.add.reduce(np.square(ws.G, out=ws.t), axis=1))
+    if compute_metrics:
+        fs = nc_metrics.FeatureSet.from_state(state, cfg)
+        metrics = (nc_metrics.nc1(fs), nc_metrics.nc2(state.W, fs), nc_metrics.nc3(state.W, fs),
+                   *nc_metrics.norm_summary(state.W, fs))
+    else:
+        metrics = (np.full(len(loss), np.nan),) * 5
+    return [TrajectoryRow(it, *map(float, row))
+            for row in zip(loss, *metrics, grad_norm, loss - L_star)]
 
 
 def run(
@@ -146,7 +135,7 @@ def run_stack(
     history = np.empty((min(opt.max_iters, 1023) + 1, len(cfgs)))  # column i: stack slot i
 
     for it in range(opt.max_iters + 1):  # every member stops by it == max_iters
-        loss, grads = loss_and_grad(state, ws)
+        loss = loss_and_grad(state, ws)[0]
         if it == len(history):
             history = np.concatenate([history, np.empty_like(history)])
         history[it] = loss
@@ -159,19 +148,14 @@ def run_stack(
         converged, keep = loss - L_star < opt.loss_tol, None
         if converged.any() or it % opt.record_every == 0 or it == opt.max_iters:
             stop = converged | (it == opt.max_iters)
+            rows = _stack_rows(state, ws, cfgs[0], it, loss, L_star, compute_metrics)
             for i in np.flatnonzero(stop | (it % opt.record_every == 0)):
-                j, value = members[i], float(loss[i])
-                member = ModelState(state.W[i], state.H[i], state.b[i])
-                grad_norm = grad_blocks_norm([g[i] for g in grads])
-                trajs[j].rows.append(
-                    _metrics_row(member, cfgs[j], it, value, grad_norm, L_stars[j])
-                    if compute_metrics else
-                    TrajectoryRow(it, value, np.nan, np.nan, np.nan, np.nan, np.nan,
-                                  grad_norm, value - L_stars[j]))
+                j = members[i]
+                trajs[j].rows.append(rows[i])
                 if stop[i]:
                     trajs[j].converged = bool(converged[i])
                     trajs[j].loss_history = history[: it + 1, i].copy()
-                    trajs[j].final_state = member.copy()
+                    trajs[j].final_state = ModelState(state.W[i], state.H[i], state.b[i]).copy()
             if stop.all():
                 yield from trajs
                 return
@@ -275,7 +259,7 @@ def convergence_race(cfg: ProblemConfig, opt: OptimizerConfig) -> list[RaceRow]:
     max_iters comes first).
     """
     seeds = [seed for seed in range(opt.seed, opt.seed + RACE_SEEDS) for _ in range(2)]
-    cfgs = [replace(cfg, delta=0.0), cfg] * RACE_SEEDS  # two configs: one targets array each
+    cfgs = [replace(cfg, delta=0.0), cfg] * RACE_SEEDS
     iters = [iterations_to_epsilon(t, RACE_REL_EPS * (t.loss_history[0] - t.optimal_value))
              for t in run_stack(cfgs, opt, seeds, compute_metrics=False)]
     return [RaceRow(seed, ce, ls, ls is not None and (ce is None or ls < ce))

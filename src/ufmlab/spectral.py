@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ProblemConfig
-from .closed_form import class_probabilities, logit_scale
+from .closed_form import class_probabilities, minimizer_scales
 from .core import ModelState, softmax_cols
 
 # Relative gap used to cluster numerically equal eigenvalues.
@@ -61,23 +61,12 @@ def condition_number(eigenvalues) -> float:
     return float(lam_max / nonzero[0])
 
 
-def _feature_scale_sq(cfg: ProblemConfig) -> float:
-    """s^2 where the implemented W equals s * P * (I - 11^T/K)."""
-    a = logit_scale(cfg)
-    return cfg.K * a * math.sqrt(cfg.n * cfg.lambda_h / cfg.lambda_w)
-
-
-def _classifier_scale(cfg: ProblemConfig) -> float:
-    """Prefactor of the classifier Hessian spectrum at the minimizer."""
-    a = logit_scale(cfg)
-    return a * math.sqrt(cfg.lambda_w / (cfg.n * cfg.lambda_h))
-
-
 def analytic_feature_hessian_spectrum(cfg: ProblemConfig) -> SpectrumReport:
     """Spectrum of one per-sample feature block (1/N) W D W^T (d x d)."""
     p_t, p_n = class_probabilities(cfg)
-    s2 = _feature_scale_sq(cfg)
     K, d, N = cfg.K, cfg.d, cfg.N
+    # W = c_w P (K I - 11^T) = s P (I - 11^T/K), with s = K c_w.
+    s2 = (K * minimizer_scales(cfg)[0]) ** 2
     pairs = [(0.0, 1 + d - K)]
     if K > 2:
         pairs.append((s2 * p_n / N, K - 2))
@@ -103,7 +92,7 @@ def analytic_classifier_hessian_spectrum(cfg: ProblemConfig) -> SpectrumReport:
     if K < 3:
         raise ValueError("classifier spectrum requires K >= 3 (K=2 degenerates)")
     p_t, p_n = class_probabilities(cfg)
-    c = _classifier_scale(cfg)
+    c = K * minimizer_scales(cfg)[1] ** 2  # K c_h^2: the spectrum's prefactor
     lam_mid = (1.0 - p_t + p_n) * (p_n + (K - 1) * p_t) / K
     pairs = [
         (0.0, 2 * K - 1 + K * (d - K)),

@@ -3,7 +3,7 @@
 import numpy as np
 
 from ufmlab.closed_form import optimal_loss
-from ufmlab.config import ProblemConfig
+from ufmlab.config import ProblemConfig, one_hot_labels, smooth_labels
 from ufmlab.core import ModelState, ufm_loss
 
 
@@ -63,7 +63,7 @@ def phi_unregularized(state: ModelState, cfg: ProblemConfig) -> float:
 def reference_loss_and_grad(state: ModelState, cfg: ProblemConfig):
     """The one-problem kernel written with fresh temporaries: the arithmetic,
     in the same order, that core.loss_and_grad does in place on a stack."""
-    Yd = cfg.targets
+    Yd = smooth_labels(one_hot_labels(cfg.K, cfg.n), cfg.delta)
     Z = state.W.T @ state.H + state.b[:, None]
     shifted = Z - Z.max(axis=0, keepdims=True)
     e = np.exp(shifted)

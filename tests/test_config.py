@@ -1,5 +1,5 @@
 import math
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -31,11 +31,11 @@ class TestProblemConfigLabels:
     def test_class_major_layout(self):
         cfg = ProblemConfig(K=3, n=2, d=4, delta=0.3)
         assert np.array_equal(cfg.labels, [0, 0, 1, 1, 2, 2])
-        assert np.array_equal(cfg.targets, smooth_labels(one_hot_labels(3, 2), 0.3))
         # column k*n + i holds sample i of class k
-        assert np.array_equal(cfg.targets.argmax(axis=0), cfg.labels)
+        targets = smooth_labels(one_hot_labels(cfg.K, cfg.n), cfg.delta)
+        assert np.array_equal(targets.argmax(axis=0), cfg.labels)
 
-    @pytest.mark.parametrize("name", ["labels", "targets"])
+    @pytest.mark.parametrize("name", ["labels"])
     def test_cached_and_read_only(self, name):
         cfg = ProblemConfig(K=3, n=2, d=4, delta=0.1)
         value = getattr(cfg, name)
@@ -43,18 +43,10 @@ class TestProblemConfigLabels:
         with pytest.raises(ValueError):
             value[0] = 1
 
-    def test_replace_gives_fresh_targets(self):
-        cfg = ProblemConfig(K=3, n=2, d=4, delta=0.1)
-        old = cfg.targets
-        other = replace(cfg, delta=0.2)
-        assert other.targets is not old
-        assert other.targets[0, 0] == pytest.approx(0.8 + 0.2 / 3)
-        assert old[0, 0] == pytest.approx(0.9 + 0.1 / 3)
-
     def test_cache_invisible_to_eq_hash_and_asdict(self):
         cfg = ProblemConfig(K=3, n=2, d=4, delta=0.1)
         fresh = ProblemConfig(K=3, n=2, d=4, delta=0.1)
-        _ = cfg.targets, cfg.labels  # fill the cache
+        _ = cfg.labels  # fill the cache
         assert cfg == fresh and hash(cfg) == hash(fresh)
         assert asdict(cfg) == asdict(fresh)
         assert set(asdict(cfg)) == {f.name for f in fields(ProblemConfig)}
@@ -88,7 +80,8 @@ class TestIntegerFields:
 
     def test_numpy_integers_accepted(self):
         cfg = ProblemConfig(K=np.int64(3), n=np.int32(2), d=np.uint8(4))
-        assert cfg.N == 6 and cfg.targets.shape == (3, 6)
+        assert cfg.N == 6 and cfg.labels.shape == (6,)
+        assert smooth_labels(one_hot_labels(cfg.K, cfg.n), cfg.delta).shape == (3, 6)
         opt = OptimizerConfig(max_iters=np.int64(10), record_every=np.int16(5),
                               seed=np.int64(1))
         assert opt.max_iters == 10

@@ -202,6 +202,14 @@ class TestStackedKernel:
             assert loss[i] == one_loss
             assert all(np.array_equal(g[i], r) for g, r in zip(grads, one_grads))
 
+    def test_workspace_targets_follow_each_members_delta(self):
+        cfgs = [ProblemConfig(K=3, n=2, d=4, delta=delta) for delta in (0.1, 0.2, 0.1)]
+        targets = Workspace(cfgs).targets
+        assert targets.shape == (3, 3, 6)
+        for t, cfg in zip(targets, cfgs):
+            assert np.array_equal(t, smooth_labels(one_hot_labels(3, 2), cfg.delta))
+        assert targets[1, 0, 0] == pytest.approx(0.8 + 0.2 / 3)
+
     def test_blocks_are_views(self):
         cfg = ProblemConfig(K=3, n=2, d=4)
         flat = np.zeros((2, 4 * 3 + 4 * 6 + 3))

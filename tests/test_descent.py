@@ -119,7 +119,7 @@ class TestRun:
             calls.append((K, n))
             return builder(K, n)
 
-        for mod in (config, closed_form, descent, nc_metrics):
+        for mod in (config, core, closed_form, descent, nc_metrics):
             if getattr(mod, "one_hot_labels", None) is builder:
                 monkeypatch.setattr(mod, "one_hot_labels", counted)
         # The README config, built here so that nothing is cached on it yet.
@@ -148,20 +148,24 @@ class TestRun:
         assert traj.optimal_value == closed_form.optimal_loss(cfg)
         assert calls == []
 
-    def test_one_class_statistics_pass_per_metrics_row(self, monkeypatch):
+    def test_one_class_statistics_pass_per_record_step(self, monkeypatch):
         original = nc_metrics.class_statistics
-        calls = []
+        stack_sizes = []
 
         def counted(fs):
-            calls.append(fs)
+            stack_sizes.append(len(fs.H))
             return original(fs)
 
         monkeypatch.setattr(nc_metrics, "class_statistics", counted)
-        state = init_state(REF_CFG, REF_OPT)
-        loss, grads = core.loss_and_grad(state, REF_CFG)
-        row = descent._metrics_row(state, REF_CFG, 0, loss, 0.0, 0.0)
-        assert len(calls) == 1
-        assert np.all(np.isfinite([row.nc1, row.nc2, row.nc3, row.w_norm, row.h_mean_norm]))
+        cfgs = [replace(REF_CFG, delta=delta) for delta in (0.0, 0.1, 0.3)]
+        trajs = list(run_stack(cfgs, replace(REF_OPT, loss_tol=1e-7, record_every=7), [0, 1, 2]))
+        stops = [t.rows[-1].iter for t in trajs]
+        steps = sorted({row.iter for t in trajs for row in t.rows})
+        # One call per record step, over the members still in the stack.
+        assert stack_sizes == [sum(s >= it for s in stops) for it in steps]
+        assert len(set(stops)) == 3 and stack_sizes[0] == 3
+        for t in trajs:
+            assert np.all(np.isfinite([astuple(row) for row in t.rows]))
 
 
 def assert_same_trajectory(got, want):
