@@ -2,17 +2,17 @@
 
 Expected calibration error with equal-width confidence bins, reliability
 bin statistics, temperature scaling fitted by negative log-likelihood,
-and average prediction entropy.
+and average prediction entropy, all from the logits shifted once by their
+column maxima (LogitDataset.shifted): no pass builds a probability matrix.
 """
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-
-from .core import log_softmax_cols, softmax_cols
 
 T_SEARCH_LOG_BOUNDS = (math.log(0.05), math.log(20.0))
 T_SEARCH_TOL = 1e-4
@@ -20,10 +20,13 @@ T_SEARCH_TOL = 1e-4
 
 @dataclass
 class LogitDataset:
-    """Logit columns (K x M) with 0-based true labels."""
+    """Logit columns (K x M) with 0-based true labels; shifted is S = logits minus
+    each column's max (S <= 0, a 0 in each column), shifted_at_label is S[y_j, j]."""
 
     logits: np.ndarray
     labels: np.ndarray
+    shifted: np.ndarray = field(init=False, repr=False)
+    shifted_at_label: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.logits = np.asarray(self.logits, dtype=float)
@@ -35,6 +38,17 @@ class LogitDataset:
         K = self.logits.shape[0]
         if np.any(self.labels < 0) or np.any(self.labels >= K):
             raise ValueError(f"labels must lie in [0, {K})")
+        if not np.isfinite(self.logits).all():
+            raise ValueError("logits contain non-finite entries")
+        self.shifted = self.logits - self.logits.max(axis=0)
+        self.shifted_at_label = self.shifted[self.labels, np.arange(self.M)]
+
+    def subset(self, idx: np.ndarray) -> LogitDataset:
+        """The columns idx; a column's max is its own, so their shift is gathered, not redone."""
+        sub = copy.copy(self)
+        sub.logits, sub.labels, sub.shifted, sub.shifted_at_label = (
+            a[..., idx] for a in (self.logits, self.labels, self.shifted, self.shifted_at_label))
+        return sub
 
     @property
     def M(self) -> int:
@@ -67,26 +81,12 @@ def reliability_bins(conf: np.ndarray, correct: np.ndarray, bins: int) -> list[B
     if bins < 1:
         raise ValueError("bins must be >= 1")
     idx = np.minimum((conf * bins).astype(int), bins - 1)
-    out = []
-    for b in range(bins):
-        mask = idx == b
-        count = int(mask.sum())
-        out.append(
-            Bin(
-                lower=b / bins,
-                upper=(b + 1) / bins,
-                mean_confidence=float(conf[mask].mean()) if count else 0.0,
-                accuracy=float(correct[mask].mean()) if count else 0.0,
-                count=count,
-            )
-        )
-    return out
-
-
-def _entropy(P: np.ndarray) -> float:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(P > 0.0, P * np.log(P), 0.0)
-    return float(-terms.sum(axis=0).mean())
+    counts, conf_sums, correct_sums = (np.bincount(idx, weights=w, minlength=bins)
+                                       for w in (None, conf, correct))
+    return [Bin(lower=b / bins, upper=(b + 1) / bins,
+                mean_confidence=float(c / n) if n else 0.0,
+                accuracy=float(a / n) if n else 0.0, count=int(n))
+            for b, (n, c, a) in enumerate(zip(counts, conf_sums, correct_sums))]
 
 
 def ece_from_bins(bins: list[Bin], M: int) -> float:
@@ -96,22 +96,29 @@ def ece_from_bins(bins: list[Bin], M: int) -> float:
 
 
 def ece(ds: LogitDataset, bins: int = 20) -> CalibrationReport:
-    """Expected calibration error report (no temperature fitting)."""
-    P = softmax_cols(ds.logits)  # one pass for the bins, the accuracy and the entropy
-    correct = P.argmax(axis=0) == ds.labels
-    bin_list = reliability_bins(P.max(axis=0), correct, bins)
+    """Expected calibration error report (no temperature fitting).
+
+    With E = exp(S) and s its column sums, p = E / s: the top class has
+    S = 0, so the confidence is 1 / s, and the entropy is log s - sum(E S) / s.
+    """
+    E = np.exp(ds.shifted)
+    s = E.sum(axis=0)
+    correct = ds.logits.argmax(axis=0) == ds.labels
+    bin_list = reliability_bins(1.0 / s, correct, bins)
+    E *= ds.shifted
     return CalibrationReport(
         ece=ece_from_bins(bin_list, ds.M),
         bins=bin_list,
-        mean_entropy=_entropy(P),
+        mean_entropy=float(np.mean(np.log(s) - E.sum(axis=0) / s)),
         accuracy=float(correct.mean()),
     )
 
 
 def nll(ds: LogitDataset, T: float = 1.0) -> float:
-    """Mean negative log-likelihood of softmax(logits / T)."""
-    logp = log_softmax_cols(ds.logits / T)
-    return float(-logp[ds.labels, np.arange(ds.M)].mean())
+    """Mean negative log-likelihood of softmax(logits / T): mean log sum exp(S / T) - mean(S_y) / T."""
+    E = np.divide(ds.shifted, T)
+    s = np.exp(E, out=E).sum(axis=0)
+    return float(np.log(s).mean() - ds.shifted_at_label.mean() / T)
 
 
 def fit_temperature(ds: LogitDataset):
@@ -121,8 +128,7 @@ def fit_temperature(ds: LogitDataset):
     carry no information (all columns constant), in which case T = 1.
     """
     nll_before = nll(ds, 1.0)
-    spread = ds.logits - ds.logits.mean(axis=0, keepdims=True)
-    if np.abs(spread).max() < 1e-12:
+    if ds.shifted.min() > -1e-12:  # every logit within 1e-12 of its column's max
         return 1.0, nll_before, nll_before, "degenerate"
 
     lo, hi = T_SEARCH_LOG_BOUNDS
@@ -161,8 +167,7 @@ def calibration_report(
         if holdout_fraction > 0.0:
             rng = np.random.default_rng(seed)
             m_fit = max(1, int(round(holdout_fraction * ds.M)))
-            idx = rng.permutation(ds.M)
-            fit_ds = LogitDataset(ds.logits[:, idx[:m_fit]], ds.labels[idx[:m_fit]])
+            fit_ds = ds.subset(rng.permutation(ds.M)[:m_fit])
         else:
             fit_ds = ds
         T, before, after, flag = fit_temperature(fit_ds)

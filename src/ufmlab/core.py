@@ -42,26 +42,13 @@ class ModelState:
         return self.W.T @ self.H + self.b[:, None]
 
 
-def _softmax_parts(Z: np.ndarray):
-    """Max-shifted columns, their exponentials and the column sums of those."""
-    shifted = Z - Z.max(axis=0, keepdims=True)
-    e = np.exp(shifted)
-    return shifted, e, e.sum(axis=0, keepdims=True)
-
-
 def softmax_cols(Z: np.ndarray) -> np.ndarray:
     """Column-wise softmax with per-column max subtraction."""
     Z = np.asarray(Z, dtype=float)
     if not np.all(np.isfinite(Z)):
         raise ValueError("softmax_cols: input contains non-finite entries")
-    _, e, s = _softmax_parts(Z)
-    return e / s
-
-
-def log_softmax_cols(Z: np.ndarray) -> np.ndarray:
-    # Slicing drops the exponentials before the result is allocated.
-    shifted, s = _softmax_parts(Z)[::2]
-    return shifted - np.log(s)
+    e = np.exp(Z - Z.max(axis=0, keepdims=True))
+    return e / e.sum(axis=0, keepdims=True)
 
 
 class Workspace:

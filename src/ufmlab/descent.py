@@ -68,10 +68,14 @@ def init_state(cfg: ProblemConfig, opt: OptimizerConfig) -> ModelState:
     )
 
 
-def _stack_rows(state, ws, cfg, it, loss, L_star, compute_metrics) -> list[TrajectoryRow]:
-    """Row it of every member of the stack; ws holds the gradient of state."""
+def _stack_rows(state, ws, cfg, it, loss, L_star, compute_metrics, rec) -> list[TrajectoryRow]:
+    """Row it of the stack members rec (indices, in order); ws holds the gradient of state."""
+    G = ws.G
+    if len(rec) < len(G):
+        state = ModelState(state.W[rec], state.H[rec], state.b[rec])
+        G, loss, L_star = G[rec], loss[rec], L_star[rec]
     # ws.t is the pass's scratch, free until the next pass.
-    grad_norm = np.sqrt(np.add.reduce(np.square(ws.G, out=ws.t), axis=1))
+    grad_norm = np.sqrt(np.add.reduce(np.square(G, out=ws.t[: len(G)]), axis=1))
     if compute_metrics:
         fs = nc_metrics.FeatureSet.from_state(state, cfg)
         metrics = (nc_metrics.nc1(fs), nc_metrics.nc2(state.W, fs), nc_metrics.nc3(state.W, fs),
@@ -148,10 +152,11 @@ def run_stack(
         converged, keep = loss - L_star < opt.loss_tol, None
         if converged.any() or it % opt.record_every == 0 or it == opt.max_iters:
             stop = converged | (it == opt.max_iters)
-            rows = _stack_rows(state, ws, cfgs[0], it, loss, L_star, compute_metrics)
-            for i in np.flatnonzero(stop | (it % opt.record_every == 0)):
+            rec = np.flatnonzero(stop | (it % opt.record_every == 0))
+            rows = _stack_rows(state, ws, cfgs[0], it, loss, L_star, compute_metrics, rec)
+            for i, row in zip(rec, rows):
                 j = members[i]
-                trajs[j].rows.append(rows[i])
+                trajs[j].rows.append(row)
                 if stop[i]:
                     trajs[j].converged = bool(converged[i])
                     trajs[j].loss_history = history[: it + 1, i].copy()

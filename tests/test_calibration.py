@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ufmlab.calibration import (
     LogitDataset,
@@ -10,6 +13,7 @@ from ufmlab.calibration import (
     ece_from_bins,
     fit_temperature,
     nll,
+    reliability_bins,
 )
 from ufmlab.core import softmax_cols
 
@@ -214,3 +218,86 @@ class TestReport:
         assert 0.0 <= report.ece <= 1.0
         assert report.temperature > 0
         assert sum(b.count for b in report.bins) == 300
+
+
+class TestBoundary:
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
+    def test_non_finite_logit_rejected(self, entry):
+        logits = np.zeros((3, 4))
+        logits[2, 1] = entry
+        with pytest.raises(ValueError, match="logits contain non-finite entries"):
+            LogitDataset(logits, np.zeros(4, dtype=int))
+
+
+@st.composite
+def logit_datasets(draw):
+    """K in [2, 12], M in [1, 300], logits within +-700 (rounded half the time, for ties)."""
+    K, M = draw(st.integers(2, 12)), draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    logits = draw(st.floats(0.0, 700.0)) * rng.uniform(-1.0, 1.0, (K, M))
+    if draw(st.booleans()):
+        logits = np.round(logits)
+    return LogitDataset(logits, rng.integers(0, K, M))
+
+
+def per_sample_softmax(z: np.ndarray) -> list[float]:
+    m = max(z)
+    e = [math.exp(x - m) for x in z]
+    s = math.fsum(e)
+    return [x / s for x in e]
+
+
+def old_reliability_bins(conf, correct, bins):
+    """The mask-per-bin loop that reliability_bins replaced: (count, mean confidence, accuracy)."""
+    idx = np.minimum((conf * bins).astype(int), bins - 1)
+    out = []
+    for b in range(bins):
+        mask = idx == b
+        count = int(mask.sum())
+        out.append((count, float(conf[mask].mean()) if count else 0.0,
+                    float(correct[mask].mean()) if count else 0.0))
+    return out
+
+
+class TestShiftedKernels:
+    @given(logit_datasets(), st.floats(0.05, 20.0))
+    @settings(max_examples=60, deadline=None)
+    def test_nll_matches_per_sample_log_sum_exp(self, ds, T):
+        terms = []
+        for z, y in zip(ds.logits.T / T, ds.labels):
+            m = max(z)
+            terms.append(m + math.log(math.fsum(math.exp(x - m) for x in z)) - z[y])
+        assert nll(ds, T) == pytest.approx(math.fsum(terms) / ds.M, rel=1e-9, abs=1e-12)
+
+    @given(logit_datasets(), st.integers(1, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_ece_matches_per_sample_softmax(self, ds, bins):
+        conf, correct, entropy = [], [], []
+        for z, y in zip(ds.logits.T, ds.labels):
+            p = per_sample_softmax(z)
+            conf.append(max(p))
+            correct.append(max(range(len(z)), key=lambda k: z[k]) == y)
+            entropy.append(-math.fsum(q * math.log(q) for q in p if q > 0.0))
+        report = ece(ds, bins)
+        assert report.accuracy == sum(correct) / ds.M
+        assert report.mean_entropy == pytest.approx(math.fsum(entropy) / ds.M,
+                                                    rel=1e-9, abs=1e-12)
+        for b, got in enumerate(report.bins):
+            members = [c for c in conf if min(int(c * bins), bins - 1) == b]
+            assert got.count == len(members)
+            if members:
+                assert got.mean_confidence == pytest.approx(
+                    math.fsum(members) / len(members), rel=1e-12)
+
+    @given(st.integers(1, 300).flatmap(lambda M: st.tuples(
+               arrays(float, M, elements=st.floats(0.0, 1.0)), arrays(bool, M))),
+           st.integers(1, 30))
+    @settings(max_examples=100, deadline=None)
+    def test_reliability_bins_match_mask_loop(self, data, bins):
+        conf, correct = data
+        got = reliability_bins(conf, correct, bins)
+        for b, (want, bin_) in enumerate(zip(old_reliability_bins(conf, correct, bins), got)):
+            assert (bin_.lower, bin_.upper) == (b / bins, (b + 1) / bins)
+            assert bin_.count == want[0] and bin_.accuracy == want[2]
+            assert bin_.mean_confidence == pytest.approx(want[1], rel=1e-12)
+        assert len(got) == bins

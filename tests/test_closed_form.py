@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ufmlab.config import ProblemConfig
 from ufmlab.closed_form import (
@@ -226,3 +228,36 @@ class TestGlobalMinimizer:
         cfg = ProblemConfig(K=3, n=2, d=4)
         with pytest.raises(ValueError):
             global_minimizer(cfg, np.ones((4, 3)))
+
+
+@st.composite
+def problem_configs(draw):
+    """K in [2, 12], n in [1, 8], d in [K, K + 6], delta in [0, 0.99], lambdas in [1e-4, 0.1]."""
+    K = draw(st.integers(2, 12))
+    lam = st.floats(1e-4, 0.1)
+    return ProblemConfig(K=K, n=draw(st.integers(1, 8)), d=draw(st.integers(K, K + 6)),
+                         delta=draw(st.floats(0.0, 0.99)), lambda_w=draw(lam),
+                         lambda_h=draw(lam), lambda_b=draw(lam))
+
+
+class TestConfigSpace:
+    @given(problem_configs())
+    @settings(max_examples=100, deadline=None)
+    def test_optimum_is_stationary(self, cfg):
+        state = global_minimizer(cfg)
+        # At a stationary point the data gradient balances the weight decay.
+        decay = math.hypot(cfg.lambda_w * np.linalg.norm(state.W),
+                           cfg.lambda_h * np.linalg.norm(state.H))
+        assert gradient_norm(state, cfg) <= 1e-10 * decay + 1e-14
+
+    @given(problem_configs())
+    @settings(max_examples=200, deadline=None)
+    def test_bisection_agrees_with_logit_scale(self, cfg):
+        assert logit_scale(cfg) == pytest.approx(solve_logit_scale_by_bisection(cfg), abs=1e-10)
+
+    @given(problem_configs(), st.floats(1e-6, 0.99))
+    @settings(max_examples=200, deadline=None)
+    def test_k_p_t_strictly_decreases_in_delta(self, cfg, gap):
+        hi = replace(cfg, delta=min(cfg.delta + gap, 0.999))
+        if logit_scale(hi) > 0.0:  # then a > 0 at the smaller delta too
+            assert cfg.K * class_probabilities(hi)[0] < cfg.K * class_probabilities(cfg)[0]

@@ -161,8 +161,9 @@ class TestRun:
         trajs = list(run_stack(cfgs, replace(REF_OPT, loss_tol=1e-7, record_every=7), [0, 1, 2]))
         stops = [t.rows[-1].iter for t in trajs]
         steps = sorted({row.iter for t in trajs for row in t.rows})
-        # One call per record step, over the members still in the stack.
-        assert stack_sizes == [sum(s >= it for s in stops) for it in steps]
+        # One call per record step, over the members that record a row there.
+        assert stack_sizes == [sum(it in {row.iter for row in t.rows} for t in trajs)
+                               for it in steps]
         assert len(set(stops)) == 3 and stack_sizes[0] == 3
         for t in trajs:
             assert np.all(np.isfinite([astuple(row) for row in t.rows]))
@@ -231,6 +232,27 @@ class TestRunStack:
         assert len(calls) == max(iters) + 1 < sum(i + 1 for i in iters)
         # The stack shrinks as members converge.
         assert calls[0] == 3 and calls[-1] == 1
+
+    def test_builds_only_the_rows_it_keeps(self, monkeypatch):
+        # Paper scale: every member stops between record steps, one at a time.
+        original, built = descent._stack_rows, []
+
+        def counted(*args):
+            rows = original(*args)
+            built.append(len(rows))
+            return rows
+
+        monkeypatch.setattr(descent, "_stack_rows", counted)
+        cfg = ProblemConfig(K=10, n=5, d=12)
+        cfgs = [replace(cfg, delta=delta) for delta in (0.0, 0.05, 0.1, 0.2, 0.3)]
+        opt = replace(REF_OPT, loss_tol=1e-7)
+        trajs = list(run_stack(cfgs, opt, [0] * 5))
+        assert all(t.converged and t.rows[-1].iter % opt.record_every for t in trajs)
+        # One row at iteration 0 and one at its stop for each member.
+        assert built == [5, 1, 1, 1, 1, 1]
+        assert sum(built) == sum(len(t.rows) for t in trajs) == 10
+        for c, traj in zip(cfgs, trajs):
+            assert_same_trajectory(traj, run(c, opt))
 
     def test_diverging_member_is_named(self):
         # lr * lambda far above the heavy-ball stability bound 2 (1 + momentum).
