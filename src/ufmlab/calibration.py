@@ -101,9 +101,10 @@ def ece(ds: LogitDataset, bins: int = 20) -> CalibrationReport:
     With E = exp(S) and s its column sums, p = E / s: the top class has
     S = 0, so the confidence is 1 / s, and the entropy is log s - sum(E S) / s.
     """
+    # argmax over axis 0 copies the logits; done first, the copy is freed before E exists.
+    correct = ds.logits.argmax(axis=0) == ds.labels
     E = np.exp(ds.shifted)
     s = E.sum(axis=0)
-    correct = ds.logits.argmax(axis=0) == ds.labels
     bin_list = reliability_bins(1.0 / s, correct, bins)
     E *= ds.shifted
     return CalibrationReport(
