@@ -116,7 +116,7 @@ def ece(ds: LogitDataset, bins: int = 20) -> CalibrationReport:
 
 
 def nll(ds: LogitDataset, T: float = 1.0) -> float:
-    """Mean negative log-likelihood of softmax(logits / T): mean log sum exp(S / T) - mean(S_y) / T."""
+    """Mean NLL of softmax(logits / T): mean_j log sum_k exp(S_kj / T) - mean(S_y) / T."""
     E = np.divide(ds.shifted, T)
     s = np.exp(E, out=E).sum(axis=0)
     return float(np.log(s).mean() - ds.shifted_at_label.mean() / T)
