@@ -168,12 +168,12 @@ def calibration_report(
         if holdout_fraction > 0.0:
             rng = np.random.default_rng(seed)
             m_fit = max(1, int(round(holdout_fraction * ds.M)))
-            fit_ds = ds.subset(rng.permutation(ds.M)[:m_fit])
-        else:
-            fit_ds = ds
-        T, before, after, flag = fit_temperature(fit_ds)
+            T, _, _, flag = fit_temperature(ds.subset(rng.permutation(ds.M)[:m_fit]))
+            before, after = nll(ds, 1.0), nll(ds, T)
+        else:  # the fit's own NLLs are on ds already
+            T, before, after, flag = fit_temperature(ds)
         report.temperature = T
-        report.nll_before = nll(ds, 1.0)
-        report.nll_after = nll(ds, T)
+        report.nll_before = before
+        report.nll_after = after
         report.temperature_flag = flag
     return report

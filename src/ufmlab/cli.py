@@ -215,10 +215,9 @@ def _spectrum_dict(report: spectral.SpectrumReport) -> dict:
     }
 
 
-def _hessian_section(analytic: spectral.SpectrumReport, hessian: np.ndarray,
+def _hessian_section(analytic: spectral.SpectrumReport, vals: np.ndarray,
                      degenerate: bool = False) -> dict:
-    """Analytic and numeric spectra of one Hessian from a single eigensolve."""
-    vals = np.linalg.eigvalsh(hessian)
+    """Analytic and numeric spectra of one Hessian from its ascending eigenvalues."""
     dev, mults = spectral.compare_to_analytic(analytic, vals)
     return {
         "analytic": _spectrum_dict(analytic),
@@ -234,14 +233,14 @@ def cmd_spectrum(args) -> int:
     payload = {
         "feature_hessian": _hessian_section(
             spectral.analytic_feature_hessian_spectrum(cfg),
-            spectral.numeric_hessian_features(state, cfg),
+            np.linalg.eigvalsh(spectral.numeric_hessian_features(state, cfg)),
             degenerate=cfg.K == 2,
         ),
     }
     if cfg.K >= 3:
         payload["classifier_hessian"] = _hessian_section(
             spectral.analytic_classifier_hessian_spectrum(cfg),
-            spectral.numeric_hessian_classifier(state, cfg),
+            spectral.classifier_eigenvalues(state, cfg),
         )
     else:
         payload["classifier_hessian"] = {"skipped": "requires K >= 3"}

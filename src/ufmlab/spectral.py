@@ -119,20 +119,38 @@ def numeric_hessian_features(state: ModelState, cfg: ProblemConfig) -> np.ndarra
 
 
 def numeric_hessian_classifier(state: ModelState, cfg: ProblemConfig) -> np.ndarray:
-    """Kd x Kd Hessian w.r.t. vec(W) (columns stacked), H fixed."""
+    """Classifier Hessian w.r.t. vec(W) (columns stacked), H fixed, in range(H).
+
+    (1/N) sum_j kron(D_j, h_j h_j^T) vanishes on every W whose columns are
+    orthogonal to range(H).  With U_r the r left singular vectors of H above
+    NumPy's matrix_rank tolerance and G = U_r^T H, the Hessian is
+    kron(I, U_r) M kron(I, U_r)^T for the Kr x Kr block M built here from G.
+    When r = d, G is H itself and M the full Kd x Kd Hessian; H = 0 gives 0 x 0.
+    """
     state.check_shapes(cfg)
     H = state.H
     D = probability_laplacian(softmax_cols(state.logits()))
-    K, d, N = cfg.K, cfg.d, cfg.N
-    # (1/N) sum_j kron(D_j, h_j h_j^T), one GEMM per block row a:
-    # M[a, p, b, q] = sum_j (h_j[p] D_j[a, b]) h_j[q], written straight into M.
-    M = np.empty((K, d, K, d))
-    A = np.empty((d, K, N))
+    K, N = cfg.K, cfg.N
+    U, sv, _ = np.linalg.svd(H, full_matrices=False)
+    r = int(np.count_nonzero(sv > sv[0] * max(H.shape) * np.finfo(float).eps))
+    G = H if r == cfg.d else U[:, :r].T @ H
+    # M[a, p, b, q] = sum_j (g_j[p] D_j[a, b]) g_j[q], one GEMM per block row a,
+    # written straight into M.
+    M = np.empty((K, r, K, r))
+    A = np.empty((r, K, N))
     for a in range(K):
-        np.multiply(H[:, None, :], D[a], out=A)
-        np.matmul(A.reshape(d * K, N), H.T, out=M[a].reshape(d * K, d))
+        np.multiply(G[:, None, :], D[a], out=A)
+        np.matmul(A.reshape(r * K, N), G.T, out=M[a].reshape(r * K, r))
     M /= N
-    return M.reshape(K * d, K * d)
+    return M.reshape(K * r, K * r)
+
+
+def classifier_eigenvalues(state: ModelState, cfg: ProblemConfig) -> np.ndarray:
+    """Ascending Kd eigenvalues of the classifier Hessian: those of its block in
+    range(H), plus K (d - r) exact zeros for the directions orthogonal to H."""
+    M = numeric_hessian_classifier(state, cfg)
+    vals = np.linalg.eigvalsh(M)
+    return np.sort(np.concatenate([np.zeros(cfg.K * cfg.d - len(M)), vals]))
 
 
 def cluster_eigenvalues(values: np.ndarray) -> list[tuple[float, int]]:
@@ -141,15 +159,10 @@ def cluster_eigenvalues(values: np.ndarray) -> list[tuple[float, int]]:
     lam_max = max(abs(vals[0]), abs(vals[-1]))
     if lam_max == 0.0:
         return [(0.0, len(vals))]
-    thresh = CLUSTER_REL_GAP * lam_max
-    clusters = []
-    start = 0
-    for i in range(1, len(vals) + 1):
-        if i == len(vals) or vals[i] - vals[i - 1] > thresh:
-            group = vals[start:i]
-            clusters.append((float(group.mean()), len(group)))
-            start = i
-    return clusters
+    starts = np.flatnonzero(np.diff(vals, prepend=-np.inf) > CLUSTER_REL_GAP * lam_max)
+    counts = np.diff(starts, append=len(vals))
+    means = np.add.reduceat(vals, starts) / counts
+    return [(float(m), int(c)) for m, c in zip(means, counts)]
 
 
 def compare_to_analytic(

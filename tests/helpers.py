@@ -4,7 +4,8 @@ import numpy as np
 
 from ufmlab.closed_form import optimal_loss
 from ufmlab.config import ProblemConfig, one_hot_labels, smooth_labels
-from ufmlab.core import ModelState, ufm_loss
+from ufmlab.core import ModelState, softmax_cols, ufm_loss
+from ufmlab.spectral import probability_laplacian
 
 
 # The acceptance grid of problem configs, shared by the suites that sweep it.
@@ -58,6 +59,17 @@ def phi_unregularized(state: ModelState, cfg: ProblemConfig) -> float:
         + 0.5 * cfg.lambda_b * np.sum(state.b**2)
     )
     return ufm_loss(state, cfg) - reg
+
+
+def dense_classifier_hessian(state: ModelState, cfg: ProblemConfig, f=lambda x: x) -> np.ndarray:
+    """The Kd x Kd classifier Hessian (1/N) sum_j kron(D_j, h_j h_j^T) as a plain
+    kron sum; f is applied to D_j and h_j first (np.abs gives the sum's magnitude)."""
+    P = softmax_cols(state.logits())
+    ref = np.zeros((cfg.K * cfg.d, cfg.K * cfg.d))
+    for j in range(cfg.N):
+        h = f(state.H[:, j])
+        ref += np.kron(f(probability_laplacian(P[:, j])), np.outer(h, h))
+    return ref / cfg.N
 
 
 def reference_loss_and_grad(state: ModelState, cfg: ProblemConfig):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ufmlab import calibration
 from ufmlab.calibration import (
     LogitDataset,
     calibration_report,
@@ -218,6 +219,19 @@ class TestReport:
         assert 0.0 <= report.ece <= 1.0
         assert report.temperature > 0
         assert sum(b.count for b in report.bins) == 300
+
+    @pytest.mark.parametrize("sharpness", [4.0, 0.0])  # fitted, and degenerate logits
+    def test_no_holdout_reuses_the_fits_nlls(self, monkeypatch, sharpness):
+        ds = random_dataset(np.random.default_rng(12), M=300, sharpness=sharpness)
+        calls = []
+        monkeypatch.setattr(calibration, "nll", lambda *a: calls.append(a) or nll(*a))
+        T, before, after, flag = fit_temperature(ds)
+        fit_calls = len(calls)
+        report = calibration_report(ds, bins=20, fit_T=True)
+        assert len(calls) == 2 * fit_calls
+        assert (report.temperature, report.temperature_flag) == (T, flag)
+        assert report.nll_before == before == nll(ds, 1.0)
+        assert report.nll_after == after == nll(ds, T)
 
 
 class TestBoundary:

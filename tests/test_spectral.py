@@ -3,22 +3,26 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ufmlab.config import ProblemConfig
 from ufmlab.closed_form import class_probabilities, global_minimizer, partial_orthogonal
-from ufmlab.core import softmax_cols
+from ufmlab.core import ModelState
 from ufmlab.spectral import (
     analytic_classifier_hessian_spectrum,
     analytic_feature_hessian_spectrum,
+    classifier_eigenvalues,
     cluster_eigenvalues,
     compare_to_analytic,
     condition_number,
     numeric_hessian_classifier,
     numeric_hessian_features,
+    numeric_spectrum,
     probability_laplacian,
 )
 
-from helpers import phi_unregularized
+from helpers import CONFIG_GRID, dense_classifier_hessian, phi_unregularized, random_state
 
 SPECTRUM_GRID = [
     ProblemConfig(K=K, n=n, d=d, delta=delta)
@@ -155,7 +159,7 @@ class TestNumericHessians:
         for cfg in SPECTRUM_GRID + dense:
             state = global_minimizer(cfg)
             analytic = analytic_classifier_hessian_spectrum(cfg)
-            vals = np.linalg.eigvalsh(numeric_hessian_classifier(state, cfg))
+            vals = classifier_eigenvalues(state, cfg)
             dev, mults_ok = compare_to_analytic(analytic, vals)
             assert dev < 1e-6 and mults_ok
 
@@ -178,7 +182,8 @@ class TestNumericHessians:
         cfg = ProblemConfig(K=3, n=2, d=4, delta=0.1)
         state = global_minimizer(cfg)
         state.H[:] = 0.0
-        assert np.allclose(numeric_hessian_classifier(state, cfg), 0)
+        assert numeric_hessian_classifier(state, cfg).shape == (0, 0)
+        assert np.array_equal(classifier_eigenvalues(state, cfg), np.zeros(cfg.K * cfg.d))
 
     def test_classifier_matches_kron_sum(self):
         # The assembly sums in BLAS order, not the kron sum's, so it is held to
@@ -189,16 +194,8 @@ class TestNumericHessians:
         for cfg, noise in cases:
             state = global_minimizer(cfg)
             state.H = state.H + noise * np.random.default_rng(0).standard_normal(state.H.shape)
-            P = softmax_cols(state.logits())
-            ref = np.zeros((cfg.K * cfg.d, cfg.K * cfg.d))
-            R = np.zeros_like(ref)
-            for j in range(cfg.N):
-                D = probability_laplacian(P[:, j])
-                h = state.H[:, j]
-                ref += np.kron(D, np.outer(h, h))
-                R += np.kron(np.abs(D), np.outer(np.abs(h), np.abs(h)))
-            ref /= cfg.N
-            R /= cfg.N
+            ref = dense_classifier_hessian(state, cfg)
+            R = dense_classifier_hessian(state, cfg, np.abs)
             bound = 2 * (cfg.N + 2) * np.finfo(float).eps * R
             assert np.all(np.abs(numeric_hessian_classifier(state, cfg) - ref) <= bound)
 
@@ -231,9 +228,14 @@ class TestNumericHessians:
         assert np.abs(fd - block).max() / np.abs(block).max() < 1e-4
 
     def test_classifier_spot_check_finite_differences(self):
+        # At the optimum H has rank K - 1 < d: expand the block in range(H) to Kd x Kd.
         cfg = ProblemConfig(K=3, n=2, d=4, delta=0.1)
         state = global_minimizer(cfg)
         M = numeric_hessian_classifier(state, cfg)
+        r = len(M) // cfg.K
+        assert r == cfg.K - 1
+        Q = np.kron(np.eye(cfg.K), np.linalg.svd(state.H)[0][:, :r])
+        M = Q @ M @ Q.T
         rng = np.random.default_rng(1)
         h = 1e-5
         scale = np.abs(M).max()
@@ -248,6 +250,52 @@ class TestNumericHessians:
                 vals.append(phi_unregularized(s, cfg))
             fd = (vals[0] - vals[1] - vals[2] + vals[3]) / (4 * h * h)
             assert abs(fd - M[a, b]) < 1e-4 * max(scale, 1e-12) + 1e-7
+
+
+def assert_matches_dense(state, cfg):
+    """classifier_eigenvalues against a dense solve of the kron sum: within
+    1e-12 lambda_max, with the same cluster multiplicities."""
+    vals = classifier_eigenvalues(state, cfg)
+    dense = np.linalg.eigvalsh(dense_classifier_hessian(state, cfg))
+    assert vals.shape == (cfg.K * cfg.d,) and np.all(np.diff(vals) >= 0)
+    lam_max = max(abs(dense).max(), 1e-300)
+    assert np.abs(vals - dense).max() <= 1e-12 * lam_max
+    assert [c for _, c in cluster_eigenvalues(vals)] == [c for _, c in cluster_eigenvalues(dense)]
+    return vals
+
+
+class TestClassifierEigenvalues:
+    def test_optimum_across_grid(self):
+        # r = K - 1 < d at every optimum, so every case runs the reduced block
+        for cfg in (c for c in CONFIG_GRID if c.K >= 3):
+            state = global_minimizer(cfg)
+            assert len(numeric_hessian_classifier(state, cfg)) == cfg.K * (cfg.K - 1)
+            assert_matches_dense(state, cfg)
+
+    def test_full_rank_states(self):
+        rng = np.random.default_rng(5)
+        for cfg in (ProblemConfig(K=4, n=3, d=5, delta=0.1), ProblemConfig(K=5, n=4, d=9),
+                    ProblemConfig(K=3, n=1, d=3, delta=0.3)):
+            state = random_state(cfg, rng, scale=0.5)
+            assert len(numeric_hessian_classifier(state, cfg)) == cfg.K * cfg.d
+            assert_matches_dense(state, cfg)
+
+    @settings(max_examples=60, deadline=None)
+    @given(K=st.integers(2, 6), n=st.integers(1, 4), extra=st.integers(0, 4),
+           rank=st.integers(0, 10), seed=st.integers(0, 2**32 - 1))
+    def test_low_rank_features(self, K, n, extra, rank, seed):
+        # H = A B with inner rank 0..d (H = 0 at rank 0); W and b are dense
+        d = K + extra
+        cfg = ProblemConfig(K=K, n=n, d=d, delta=0.1)
+        rng = np.random.default_rng(seed)
+        rank = min(rank, d)
+        H = rng.standard_normal((d, rank)) @ rng.standard_normal((rank, cfg.N)) / max(rank, 1)
+        state = ModelState(rng.standard_normal((d, K)), H, rng.standard_normal(K))
+        assert len(numeric_hessian_classifier(state, cfg)) <= K * min(d, cfg.N)
+        vals = assert_matches_dense(state, cfg)
+        if rank == 0:
+            assert np.array_equal(vals, np.zeros(K * d))
+            assert numeric_spectrum(vals).degenerate
 
 
 class TestClustering:
