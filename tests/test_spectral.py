@@ -228,13 +228,14 @@ class TestNumericHessians:
         assert np.abs(fd - block).max() / np.abs(block).max() < 1e-4
 
     def test_classifier_spot_check_finite_differences(self):
-        # At the optimum H has rank K - 1 < d: expand the block in range(H) to Kd x Kd.
+        # At the optimum H has rank K - 1 < d: expand the block in range(H) to Kd x Kd
+        # with the basis it was built in (the same SVD call, so the same signs).
         cfg = ProblemConfig(K=3, n=2, d=4, delta=0.1)
         state = global_minimizer(cfg)
         M = numeric_hessian_classifier(state, cfg)
         r = len(M) // cfg.K
         assert r == cfg.K - 1
-        Q = np.kron(np.eye(cfg.K), np.linalg.svd(state.H)[0][:, :r])
+        Q = np.kron(np.eye(cfg.K), np.linalg.svd(state.H, full_matrices=False)[0][:, :r])
         M = Q @ M @ Q.T
         rng = np.random.default_rng(1)
         h = 1e-5
