@@ -215,13 +215,12 @@ def _spectrum_dict(report: spectral.SpectrumReport) -> dict:
     }
 
 
-def _hessian_section(analytic: spectral.SpectrumReport, vals: np.ndarray,
-                     degenerate: bool = False) -> dict:
+def _hessian_section(analytic: spectral.SpectrumReport, vals: np.ndarray) -> dict:
     """Analytic and numeric spectra of one Hessian from its ascending eigenvalues."""
     dev, mults = spectral.compare_to_analytic(analytic, vals)
     return {
         "analytic": _spectrum_dict(analytic),
-        "numeric": _spectrum_dict(spectral.numeric_spectrum(vals, degenerate)),
+        "numeric": _spectrum_dict(spectral.numeric_spectrum(vals)),
         "max_relative_deviation": dev,
         "multiplicities_match": mults,
     }
@@ -234,7 +233,6 @@ def cmd_spectrum(args) -> int:
         "feature_hessian": _hessian_section(
             spectral.analytic_feature_hessian_spectrum(cfg),
             np.linalg.eigvalsh(spectral.numeric_hessian_features(state, cfg)),
-            degenerate=cfg.K == 2,
         ),
     }
     if cfg.K >= 3:

@@ -52,29 +52,19 @@ class FeatureSet:
 
 
 def class_statistics(fs: FeatureSet):
-    """Global mean, class means, and within/between covariance matrices."""
-    H = fs.H
-    *batch, d, M = H.shape
-    h_G = H.mean(axis=-1)
-    class_means = np.zeros((*batch, d, fs.K))
-    Sigma_W = np.zeros((*batch, d, d))
-    for k in range(fs.K):
-        cols = H[..., fs.labels == k]
-        if cols.shape[-1] == 0:
-            raise ValueError(f"class {k} has no samples")
-        mu = cols.mean(axis=-1)
-        class_means[..., k] = mu
-        dev = cols - mu[..., None]
-        Sigma_W += dev @ np.swapaxes(dev, -1, -2)
-    Sigma_W /= M
-    centered = class_means - h_G[..., None]
-    Sigma_B = centered @ np.swapaxes(centered, -1, -2) / fs.K
-    return h_G, class_means, Sigma_W, Sigma_B
+    """Global mean and class means (d x K): one GEMM against the M x K class indicator."""
+    M = fs.labels.size
+    counts = np.bincount(fs.labels, minlength=fs.K)
+    if not counts.all():
+        raise ValueError(f"class {np.argmin(counts)} has no samples")
+    indicator = np.zeros((M, fs.K))
+    indicator[np.arange(M), fs.labels] = 1.0
+    return fs.H.mean(axis=-1), fs.H @ indicator / counts
 
 
 def centered_class_means(fs: FeatureSet) -> np.ndarray:
     """Hbar: class means minus the global mean, d x K."""
-    h_G, class_means, _, _ = fs.statistics
+    h_G, class_means = fs.statistics
     return class_means - h_G[..., None]
 
 
@@ -87,18 +77,24 @@ def _unit(A: np.ndarray) -> np.ndarray:
 def nc1(fs: FeatureSet):
     """Within-class variability: trace(Sigma_W pinv(Sigma_B)) / K.
 
+    With dev = H - class_means[labels], Sigma_W = dev dev^T / M and, for the
+    thin SVD Hbar = U diag(s) V^T, Sigma_B = Hbar Hbar^T / K; the trace is
+    sum_i u_i^T (dev dev^T) u_i / (M s_i^2) over s_i^2 > PINV_RCOND s_1^2,
+    the cutoff of pinv(Sigma_B, rcond=PINV_RCOND).
     Returns 0 when both covariances vanish (fully collapsed and coincident
     classes) and the infinite sentinel NC1_UNDEFINED when Sigma_B = 0 but
     Sigma_W != 0.
     """
-    _, _, Sigma_W, Sigma_B = fs.statistics
-    # Both scales on every call: skipping the d x d temporary of scale_W left
-    # glibc's heap in a state that made the optimize_large benchmark ~15 % slower.
-    scale_B = np.abs(Sigma_B).max(axis=(-2, -1))
-    scale_W = np.abs(Sigma_W).max(axis=(-2, -1))
-    ratio = np.trace(Sigma_W @ np.linalg.pinv(Sigma_B, rcond=PINV_RCOND),
-                     axis1=-2, axis2=-1) / fs.K
-    return np.where(scale_B == 0.0, np.where(scale_W == 0.0, 0.0, NC1_UNDEFINED), ratio)[()]
+    _, class_means = fs.statistics
+    dev = class_means[..., fs.labels]
+    np.subtract(fs.H, dev, out=dev)
+    U, s, _ = np.linalg.svd(centered_class_means(fs), full_matrices=False)
+    s2 = s * s
+    inv = np.divide(1.0, s2, out=np.zeros_like(s2), where=s2 > PINV_RCOND * s2[..., :1])
+    quad = (U * (dev @ np.swapaxes(dev, -1, -2) @ U)).sum(axis=-2)
+    ratio = (quad * inv).sum(axis=-1) / fs.labels.size
+    undefined = (s[..., 0] == 0.0) & dev.any(axis=(-2, -1))
+    return np.where(undefined, NC1_UNDEFINED, ratio)[()]
 
 
 def nc2(W: np.ndarray, fs: FeatureSet):
@@ -116,7 +112,7 @@ def nc3(W: np.ndarray, fs: FeatureSet):
 
 def norm_summary(W: np.ndarray, fs: FeatureSet):
     """Mean classifier-column norm and mean class-mean norm."""
-    _, class_means, _, _ = fs.statistics
+    _, class_means = fs.statistics
     w_norms = np.linalg.norm(W, axis=-2)
     h_norms = np.linalg.norm(class_means, axis=-2)
     return w_norms.mean(axis=-1), h_norms.mean(axis=-1)

@@ -191,13 +191,15 @@ def compare_to_analytic(
     return max_dev, mults_ok
 
 
-def numeric_spectrum(vals: np.ndarray, degenerate: bool = False) -> SpectrumReport:
+def numeric_spectrum(vals: np.ndarray) -> SpectrumReport:
     """Numeric report from ascending eigenvalues of an assembled Hessian.
 
-    The report is flagged degenerate when the spectrum is all zero, or when
-    the caller says so (a K = 2 feature block has one nonzero eigenvalue).
+    The report is flagged degenerate when fewer than two eigenvalue clusters
+    lie above ZERO_CUTOFF * lambda_max (all zero, or one nonzero value as in
+    a K = 2 feature block).
     """
     pairs = cluster_eigenvalues(vals)
     lam_max = vals[-1]
     kappa = math.nan if lam_max <= 0.0 else condition_number(vals)
-    return SpectrumReport(pairs, kappa, "numeric", bool(degenerate or lam_max <= 0.0))
+    nonzero = sum(v > ZERO_CUTOFF * lam_max for v, _ in pairs)
+    return SpectrumReport(pairs, kappa, "numeric", bool(nonzero < 2))

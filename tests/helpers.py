@@ -5,6 +5,7 @@ import numpy as np
 from ufmlab.closed_form import optimal_loss
 from ufmlab.config import ProblemConfig, one_hot_labels, smooth_labels
 from ufmlab.core import ModelState, softmax_cols, ufm_loss
+from ufmlab.nc_metrics import NC1_UNDEFINED, PINV_RCOND, FeatureSet
 from ufmlab.spectral import probability_laplacian
 
 
@@ -108,3 +109,36 @@ def reference_losses(cfg: ProblemConfig, opt, state: ModelState) -> np.ndarray:
             v[...] = opt.momentum * v - opt.learning_rate * g
             x += v
     return np.array(losses)
+
+
+def reference_class_covariances(fs: FeatureSet):
+    """Within- and between-class covariances (d x d, or B x d x d) of a
+    feature set, built by a loop over the classes."""
+    H = fs.H
+    *batch, d, M = H.shape
+    h_G = H.mean(axis=-1)
+    class_means = np.zeros((*batch, d, fs.K))
+    Sigma_W = np.zeros((*batch, d, d))
+    for k in range(fs.K):
+        cols = H[..., fs.labels == k]
+        if cols.shape[-1] == 0:
+            raise ValueError(f"class {k} has no samples")
+        mu = cols.mean(axis=-1)
+        class_means[..., k] = mu
+        dev = cols - mu[..., None]
+        Sigma_W += dev @ np.swapaxes(dev, -1, -2)
+    Sigma_W /= M
+    centered = class_means - h_G[..., None]
+    Sigma_B = centered @ np.swapaxes(centered, -1, -2) / fs.K
+    return Sigma_W, Sigma_B
+
+
+def reference_nc1(fs: FeatureSet):
+    """trace(Sigma_W pinv(Sigma_B)) / K from the d x d covariances, with the
+    sentinels of nc_metrics.nc1."""
+    Sigma_W, Sigma_B = reference_class_covariances(fs)
+    scale_B = np.abs(Sigma_B).max(axis=(-2, -1))
+    scale_W = np.abs(Sigma_W).max(axis=(-2, -1))
+    ratio = np.trace(Sigma_W @ np.linalg.pinv(Sigma_B, rcond=PINV_RCOND),
+                     axis1=-2, axis2=-1) / fs.K
+    return np.where(scale_B == 0.0, np.where(scale_W == 0.0, 0.0, NC1_UNDEFINED), ratio)[()]

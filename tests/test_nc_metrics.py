@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_class_covariances, reference_nc1
 from ufmlab.config import ProblemConfig
 from ufmlab.closed_form import global_minimizer, partial_orthogonal
 from ufmlab.nc_metrics import (
@@ -23,7 +26,8 @@ def hand_feature_set():
 
 class TestClassStatistics:
     def test_hand_example(self):
-        h_G, means, Sigma_W, Sigma_B = class_statistics(hand_feature_set())
+        h_G, means = class_statistics(hand_feature_set())
+        Sigma_W, Sigma_B = reference_class_covariances(hand_feature_set())
         assert h_G[0] == pytest.approx(3.0)
         assert means[0].tolist() == [1.0, 5.0]
         assert Sigma_W[0, 0] == pytest.approx(1.0)
@@ -32,7 +36,7 @@ class TestClassStatistics:
     def test_identical_columns_zero_covariances(self):
         H = np.tile(np.array([[1.0], [2.0]]), (1, 6))
         fs = FeatureSet(H=H, labels=np.array([0, 0, 1, 1, 2, 2]), K=3)
-        _, _, Sigma_W, Sigma_B = class_statistics(fs)
+        Sigma_W, Sigma_B = reference_class_covariances(fs)
         assert np.allclose(Sigma_W, 0) and np.allclose(Sigma_B, 0)
 
     def test_collapsed_features_zero_within(self):
@@ -40,20 +44,29 @@ class TestClassStatistics:
         means = rng.standard_normal((4, 3))
         H = np.repeat(means, 5, axis=1)
         fs = FeatureSet(H=H, labels=np.repeat(np.arange(3), 5), K=3)
-        _, _, Sigma_W, _ = class_statistics(fs)
+        Sigma_W, _ = reference_class_covariances(fs)
         assert np.allclose(Sigma_W, 0)
 
     def test_empty_class_rejected(self):
         fs = FeatureSet(H=np.zeros((2, 2)), labels=np.array([0, 0]), K=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="class 1 has no samples"):
             class_statistics(fs)
 
     def test_balanced_class_means_average_to_global(self):
         rng = np.random.default_rng(1)
         fs = FeatureSet(H=rng.standard_normal((3, 12)),
                         labels=np.repeat(np.arange(4), 3), K=4)
-        h_G, means, _, _ = class_statistics(fs)
+        h_G, means = class_statistics(fs)
         assert np.allclose(means.mean(axis=1), h_G)
+
+    def test_unsorted_unbalanced_labels(self):
+        rng = np.random.default_rng(13)
+        H = rng.standard_normal((2, 3, 9))
+        labels = np.array([2, 0, 1, 2, 2, 0, 1, 2, 2])
+        h_G, means = class_statistics(FeatureSet(H=H, labels=labels, K=3))
+        assert np.array_equal(h_G, H.mean(axis=-1))
+        for k in range(3):
+            assert np.allclose(means[..., k], H[..., labels == k].mean(axis=-1), rtol=1e-14)
 
 
 class TestNC1:
@@ -104,6 +117,36 @@ class TestNC1:
         fs_p = FeatureSet(H=H[:, perm], labels=labels[perm], K=3)
         # class-preserving permutation: identical sums in a different order
         assert nc1(fs_p) == pytest.approx(nc1(fs), rel=1e-12)
+
+
+@st.composite
+def feature_sets(draw):
+    """K in [2, 8], d in [1, 14], shuffled unbalanced labels with every class
+    present, one d x M set or a stack of 1 to 3, scale 1e-6 to 1e3, and
+    within-class spread from 1e-9 (near collapse) to 1 of the class-mean spread."""
+    K, d, B = draw(st.integers(2, 8)), draw(st.integers(1, 14)), draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = np.concatenate([np.arange(K), rng.integers(0, K, draw(st.integers(0, 30)))])
+    rng.shuffle(labels)
+    scale = 10.0 ** draw(st.floats(-6.0, 3.0))
+    spread = 10.0 ** draw(st.floats(-9.0, 0.0))
+    means = rng.standard_normal((max(B, 1), d, K))
+    H = scale * (means[..., labels] + spread * rng.standard_normal((max(B, 1), d, labels.size)))
+    return FeatureSet(H=H if B else H[0], labels=labels, K=K)
+
+
+class TestNC1Oracle:
+    @given(feature_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_pinv_of_sigma_b(self, fs):
+        # The oracle forms Sigma_B = Hbar Hbar^T / K, so its own relative error grows
+        # as eps * cond(Hbar)^2: about 2e-10 at cond(Hbar) = 1e3, 4e-8 at 1.4e4.
+        s = np.linalg.svd(centered_class_means(fs), compute_uv=False)
+        rank = min(fs.H.shape[-2], fs.K - 1)
+        assume(np.all(s[..., rank - 1] > 1e-3 * s[..., 0]))
+        got, want = nc1(fs), reference_nc1(fs)
+        assert np.shape(got) == np.shape(want)
+        assert np.allclose(got, want, rtol=1e-8, atol=0.0)
 
 
 class TestStatisticsCache:

@@ -299,6 +299,25 @@ class TestClassifierEigenvalues:
             assert numeric_spectrum(vals).degenerate
 
 
+class TestNumericDegenerateFlag:
+    def test_k2_optimum_degenerate(self):
+        cfg = ProblemConfig(K=2, n=2, d=3, delta=0.1)
+        vals = np.linalg.eigvalsh(numeric_hessian_features(global_minimizer(cfg), cfg))
+        report = numeric_spectrum(vals)
+        assert report.degenerate is True
+        assert report.condition_number == 1.0
+
+    @pytest.mark.parametrize("K", [3, 4, 10])
+    def test_k3_and_above_optimum_not_degenerate(self, K):
+        cfg = ProblemConfig(K=K, n=2, d=K + 1, delta=0.1)
+        state = global_minimizer(cfg)
+        for vals in (np.linalg.eigvalsh(numeric_hessian_features(state, cfg)),
+                     classifier_eigenvalues(state, cfg)):
+            report = numeric_spectrum(vals)
+            assert report.degenerate is False
+            assert report.condition_number > 1.0
+
+
 class TestClustering:
     def test_cluster_counts(self):
         vals = np.array([0.0, 1e-17, 0.5, 0.5 + 1e-12, 2.0])
