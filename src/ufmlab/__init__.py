@@ -10,13 +10,12 @@ from .closed_form import (
     mean_logit_matrix,
     partial_orthogonal,
 )
-from .nc_metrics import FeatureSet, nc1, nc2, nc3
+from .nc_metrics import nc1, nc2, nc3
 
 __all__ = [
     "OptimizerConfig",
     "ProblemConfig",
     "ModelState",
-    "FeatureSet",
     "softmax_cols",
     "smooth_labels",
     "ufm_loss",

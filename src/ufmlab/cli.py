@@ -161,6 +161,15 @@ def read_labels(path: str) -> np.ndarray:
         raise ConfigError(f"cannot read label file {path}: {exc}") from exc
 
 
+def _at_least(low: int):
+    """argparse type: an integer >= low."""
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return int(text)
+    return integer
+
+
 def cmd_solve(args) -> int:
     cfg, opt, _ = load_config(args.config, args.seed)
     a = logit_scale(cfg)
@@ -292,12 +301,12 @@ def cmd_calibrate(args) -> int:
     K = logits.shape[0]
     if K < 2:
         raise ConfigError(f"logit file {args.logits}: needs one row per class and K >= 2, got {K}")
+    if len(labels) != logits.shape[1]:
+        raise ConfigError(f"label file {args.labels} has {len(labels)} labels but logit file "
+                          f"{args.logits} has {logits.shape[1]} columns")
     if np.any(labels < 0) or np.any(labels >= K):
         raise ConfigError(f"label file {args.labels}: labels must lie in 1..{K} ({K} logit rows)")
-    try:
-        ds = calibration.LogitDataset(logits, labels)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    ds = calibration.LogitDataset(logits, labels)
     report = calibration.calibration_report(
         ds,
         bins=args.bins,
@@ -338,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", required=True, help="YAML run config")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override optimizer seed")
+        p.add_argument("--seed", type=_at_least(0), default=None, help="override optimizer seed")
 
     p = sub.add_parser("solve", help="closed-form minimizer report")
     add_common(p)
@@ -365,16 +374,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("logits", help="headerless CSV, K rows x M columns")
     p.add_argument("labels", help="one 1-based class index per line")
     p.add_argument("--out", default="out")
-    p.add_argument("--bins", type=int, default=20)
+    p.add_argument("--bins", type=_at_least(1), default=20)
     p.add_argument("--fit-temperature", action="store_true")
     p.add_argument("--holdout-fraction", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_at_least(0), default=None)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("check", help="check the named theory claims (ufmlab.theory.CLAIMS)")
     p.add_argument("--perturb", type=float, default=0.0,
                    help="inject a perturbation into the closed-form checks")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_at_least(0), default=None)
     p.set_defaults(func=cmd_check)
 
     return parser

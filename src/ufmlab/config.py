@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -41,8 +40,7 @@ class ProblemConfig:
     K classes, n samples per class, feature dimension d, smoothing
     parameter delta in [0, 1), and L2 weights for the classifier,
     the features, and the bias.  The sample layout is class-major:
-    column k*n + i holds sample i of class k.  `labels` is built on first
-    use and cached on the instance (a read-only array).
+    column k*n + i holds sample i of class k.
     """
 
     K: int
@@ -83,13 +81,6 @@ class ProblemConfig:
         """Geometric mean of the classifier and feature weights."""
         return math.sqrt(self.lambda_w * self.lambda_h)
 
-    @cached_property
-    def labels(self) -> np.ndarray:
-        """Class index of each sample column (length N)."""
-        labels = np.repeat(np.arange(self.K), self.n)
-        labels.flags.writeable = False
-        return labels
-
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -121,3 +112,5 @@ class OptimizerConfig:
             raise ValueError("record_every must be >= 1")
         if self.init_scale < 0.0:
             raise ValueError("init_scale must be nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")

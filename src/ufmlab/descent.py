@@ -77,9 +77,9 @@ def _stack_rows(state, ws, cfg, it, loss, L_star, compute_metrics, rec) -> list[
     # ws.t is the pass's scratch, free until the next pass.
     grad_norm = np.sqrt(np.add.reduce(np.square(G, out=ws.t[: len(G)]), axis=1))
     if compute_metrics:
-        fs = nc_metrics.FeatureSet.from_state(state, cfg)
-        metrics = (nc_metrics.nc1(fs), nc_metrics.nc2(state.W, fs), nc_metrics.nc3(state.W, fs),
-                   *nc_metrics.norm_summary(state.W, fs))
+        W, means = state.W, nc_metrics.class_means(state.H, cfg.K)
+        metrics = (nc_metrics.nc1(state.H, means), nc_metrics.nc2(W, means),
+                   nc_metrics.nc3(W, means), *nc_metrics.norm_summary(W, means))
     else:
         metrics = (np.full(len(loss), np.nan),) * 5
     return [TrajectoryRow(it, *map(float, row))
@@ -184,8 +184,7 @@ def iterations_to_epsilon(traj: Trajectory, eps: float):
 
 def mean_logit_distance(state: ModelState, cfg: ProblemConfig) -> float:
     """|| W^T Hbar - a (K I - 11^T) ||_F (rotation-invariant optimum distance)."""
-    fs = nc_metrics.FeatureSet.from_state(state, cfg)
-    Hbar = nc_metrics.centered_class_means(fs)
+    Hbar = nc_metrics.centered(nc_metrics.class_means(state.H, cfg.K))
     return float(np.linalg.norm(state.W.T @ Hbar - mean_logit_matrix(cfg)))
 
 

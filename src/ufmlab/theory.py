@@ -15,7 +15,7 @@ from . import descent
 from .closed_form import global_minimizer
 from .config import OptimizerConfig, ProblemConfig
 from .core import gradient_norm
-from .nc_metrics import FeatureSet, centered_class_means
+from .nc_metrics import centered, class_means
 
 # Stand-in for an infinite cross-entropy term (exact zero probability
 # against a positive target).
@@ -130,7 +130,7 @@ def _perturbed_minimizer(seed: int, perturb: float):
 def _self_duality(seed: int, perturb: float):
     """W = sqrt(n lambda_h / lambda_w) Hbar at the minimizer."""
     state, cfg = _perturbed_minimizer(seed, perturb)
-    gap = duality_gap(state.W, centered_class_means(FeatureSet.from_state(state, cfg)), cfg)
+    gap = duality_gap(state.W, centered(class_means(state.H, cfg.K)), cfg)
     return gap < 1e-10, f"gap {gap:.3e}"
 
 

@@ -18,7 +18,7 @@ from ufmlab.closed_form import (
 )
 from ufmlab.core import gradient_norm, loss_and_grad, softmax_cols, ufm_loss
 from ufmlab.descent import iterations_to_epsilon, run
-from ufmlab.nc_metrics import FeatureSet, centered_class_means, nc1, nc2, nc3
+from ufmlab.nc_metrics import centered, class_means, nc1, nc2, nc3
 from ufmlab.spectral import (
     analytic_classifier_hessian_spectrum,
     analytic_feature_hessian_spectrum,
@@ -164,10 +164,9 @@ def test_criterion_7_descent_reaches_collapse():
                           loss_tol=1e-12, record_every=1000, seed=0)
     traj = run(cfg, opt)
     state = traj.final_state
-    fs = FeatureSet.from_state(state, cfg)
-    v1, v2, v3 = nc1(fs), nc2(state.W, fs), nc3(state.W, fs)
-    logit_err = np.linalg.norm(state.W.T @ centered_class_means(fs)
-                               - mean_logit_matrix(cfg))
+    means = class_means(state.H, cfg.K)
+    v1, v2, v3 = nc1(state.H, means), nc2(state.W, means), nc3(state.W, means)
+    logit_err = np.linalg.norm(state.W.T @ centered(means) - mean_logit_matrix(cfg))
     ok = v1 < 1e-6 and v2 < 1e-4 and v3 < 1e-4 and logit_err < 1e-4
     report(7, ok, f"NC1={v1:.2e} NC2={v2:.2e} NC3={v3:.2e} "
                   f"mean-logit error {logit_err:.2e}")

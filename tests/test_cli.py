@@ -239,6 +239,25 @@ class TestConfigBoundary:
         assert self.run_solve(tmp_path, text) == 2
         assert "must be a mapping" in capsys.readouterr().err
 
+    def test_negative_seed_exit_2_names_field(self, tmp_path, capsys):
+        assert self.run_solve(tmp_path, "problem: {k: 3, n: 2, d: 4}\noptimizer: {seed: -1}\n") == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "optimize", "spectrum", "sweep", "race",
+                                         "check", "calibrate"])
+    def test_negative_seed_flag_rejected_by_the_parser(self, tmp_path, capsys, command):
+        out = str(tmp_path / "o")
+        argv = {"check": ["check"],
+                "calibrate": ["calibrate", "logits.csv", "labels.txt", "--out", out]}.get(
+            command, [command, "--config", write_config(tmp_path / "c.yaml", REF_PROBLEM),
+                      "--out", out])
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "-1"])
+        assert exc.value.code == 2
+        assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestSweepSection:
     @pytest.mark.parametrize("extra, argv, name", [
@@ -375,6 +394,21 @@ class TestCalibrate:
                      "--fit-temperature"]) == 2
         err = capsys.readouterr().err
         assert lpath in err and "K >= 2" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_zero_bins_rejected_before_the_files_are_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        with pytest.raises(SystemExit) as exc:
+            main(["calibrate", missing, missing, "--out", str(tmp_path / "o"), "--bins", "0"])
+        assert exc.value.code == 2
+        assert "argument --bins: must be >= 1, got 0" in capsys.readouterr().err
+
+    def test_label_count_mismatch_exit_2_names_both_files_and_counts(self, tmp_path, capsys):
+        lpath, ypath, *_ = self.make_files(tmp_path, np.random.default_rng(6))
+        (tmp_path / "labels.txt").write_text("1\n" * 59)
+        assert main(["calibrate", lpath, ypath, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"label file {ypath} has 59 labels but logit file {lpath} has 60 columns" in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("fraction", ["1.5", "-0.3", "nan", "inf", "1.0"])

@@ -149,14 +149,14 @@ class TestRun:
         assert calls == []
 
     def test_one_class_statistics_pass_per_record_step(self, monkeypatch):
-        original = nc_metrics.class_statistics
+        original = nc_metrics.class_means
         stack_sizes = []
 
-        def counted(fs):
-            stack_sizes.append(len(fs.H))
-            return original(fs)
+        def counted(H, K):
+            stack_sizes.append(len(H))
+            return original(H, K)
 
-        monkeypatch.setattr(nc_metrics, "class_statistics", counted)
+        monkeypatch.setattr(nc_metrics, "class_means", counted)
         cfgs = [replace(REF_CFG, delta=delta) for delta in (0.0, 0.1, 0.3)]
         trajs = list(run_stack(cfgs, replace(REF_OPT, loss_tol=1e-7, record_every=7), [0, 1, 2]))
         stops = [t.rows[-1].iter for t in trajs]
