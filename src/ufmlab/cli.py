@@ -22,11 +22,11 @@ import yaml
 
 from . import calibration, descent, spectral, theory
 from .closed_form import (
-    class_mean_matrix,
     class_probabilities,
     global_minimizer,
     logit_scale,
     mean_logit_matrix,
+    minimizer_norms,
     optimal_loss,
 )
 from .config import OptimizerConfig, ProblemConfig
@@ -170,21 +170,31 @@ def _at_least(low: int):
     return integer
 
 
+def _finite(text: str) -> float:
+    """argparse type: a finite float (text that is no number is not finite either)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 def cmd_solve(args) -> int:
     cfg, opt, _ = load_config(args.config, args.seed)
     a = logit_scale(cfg)
     p_t, p_n = class_probabilities(cfg)
-    state = global_minimizer(cfg)
-    h_bar = class_mean_matrix(cfg)
+    w_norm, h_bar_norm = minimizer_norms(cfg)
     return _publish(args.out, "solve", {
         "a_delta": a,
         "p_t": p_t,
         "p_n": p_n,
-        "w_norm": float(np.linalg.norm(state.W)),
-        "h_bar_norm": float(np.linalg.norm(h_bar)),
+        "w_norm": w_norm,
+        "h_bar_norm": h_bar_norm,
         "optimal_loss": optimal_loss(cfg),
         "mean_logit_matrix": mean_logit_matrix(cfg).tolist(),
-        "stationarity_residual": gradient_norm(state, cfg),
+        "stationarity_residual": gradient_norm(global_minimizer(cfg), cfg),
     }, config=(cfg, opt))
 
 
@@ -381,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("check", help="check the named theory claims (ufmlab.theory.CLAIMS)")
-    p.add_argument("--perturb", type=float, default=0.0,
+    p.add_argument("--perturb", type=_finite, default=0.0,
                    help="inject a perturbation into the closed-form checks")
     p.add_argument("--seed", type=_at_least(0), default=None)
     p.set_defaults(func=cmd_check)

@@ -1,9 +1,9 @@
 """Closed-form global minimizer of the regularized smoothed-label risk.
 
 The minimizer is a simplex ETF: W and the class-mean feature matrix are
-both proportional to P (K I - 11^T) for a partial orthogonal P, with a
-logit scale that shrinks as smoothing or regularization grows and hits
-zero once sqrt(KN) * lambda_z + delta >= 1.
+both proportional to P (K I - 11^T) for a partial orthogonal P (built
+here for P = I[:, :K]), with a logit scale that shrinks as smoothing or
+regularization grows and hits zero once sqrt(KN) * lambda_z + delta >= 1.
 """
 
 from __future__ import annotations
@@ -32,22 +32,6 @@ def class_probabilities(cfg: ProblemConfig) -> tuple[float, float]:
     return e / denom, 1.0 / denom
 
 
-def partial_orthogonal(d: int, K: int, seed: int | None = None) -> np.ndarray:
-    """d x K matrix P with P^T P = I.
-
-    Without a seed this is the first K columns of the identity; with a
-    seed, the orthonormalization of a seeded Gaussian matrix.
-    """
-    if d < K:
-        raise ValueError(f"need d >= K, got d={d}, K={K}")
-    if seed is None:
-        return np.eye(d, K)
-    rng = np.random.default_rng(seed)
-    Q, R = np.linalg.qr(rng.standard_normal((d, K)))
-    # fix signs so the factorization is unique per seed
-    return Q * np.sign(np.diag(R))
-
-
 def simplex_etf_core(K: int) -> np.ndarray:
     """K I - 11^T, the unnormalized simplex ETF generator."""
     return K * np.eye(K) - np.ones((K, K))
@@ -71,22 +55,17 @@ def minimizer_scales(cfg: ProblemConfig) -> tuple[float, float]:
     return ratio * base, base / ratio
 
 
-def class_mean_matrix(cfg: ProblemConfig) -> np.ndarray:
-    """Optimal centered class-mean feature matrix Hbar (d x K), for P = I[:, :K]."""
-    _, c_h = minimizer_scales(cfg)
-    return c_h * partial_orthogonal(cfg.d, cfg.K) @ simplex_etf_core(cfg.K)
-
-
-def global_minimizer(cfg: ProblemConfig, P: np.ndarray | None = None) -> ModelState:
-    """Closed-form global minimizer (W, H, b) with H = Hbar Y and b = 0."""
-    if P is None:
-        P = partial_orthogonal(cfg.d, cfg.K)
-    if P.shape != (cfg.d, cfg.K):
-        raise ValueError(f"P has shape {P.shape}, expected {(cfg.d, cfg.K)}")
-    if not np.allclose(P.T @ P, np.eye(cfg.K), atol=1e-10):
-        raise ValueError("P is not partial orthogonal")
+def minimizer_norms(cfg: ProblemConfig) -> tuple[float, float]:
+    """Frobenius norms (||W||, ||Hbar||) of the minimizer, as ||K I - 11^T|| = K sqrt(K - 1)."""
     c_w, c_h = minimizer_scales(cfg)
-    core = P @ simplex_etf_core(cfg.K)
+    core_norm = cfg.K * math.sqrt(cfg.K - 1)
+    return c_w * core_norm, c_h * core_norm
+
+
+def global_minimizer(cfg: ProblemConfig) -> ModelState:
+    """Closed-form global minimizer (W, H, b) for P = I[:, :K], with H = Hbar Y and b = 0."""
+    c_w, c_h = minimizer_scales(cfg)
+    core = np.eye(cfg.d, cfg.K) @ simplex_etf_core(cfg.K)
     W = c_w * core
     H = (c_h * core) @ one_hot_labels(cfg.K, cfg.n)
     return ModelState(W=W, H=H, b=np.zeros(cfg.K))

@@ -121,14 +121,8 @@ def _forward(state: ModelState, ws: Workspace) -> np.ndarray:
     return ce + (half[0] * sq[0] + half[1] * sq[1] + half[2] * sq[2])
 
 
-def ufm_loss(state: ModelState, cfg: ProblemConfig) -> float:
-    """Regularized smoothed-label risk L(W, H, b)."""
-    stacked, ws, _ = _stacked(state, cfg)
-    return float(_forward(stacked, ws)[0])
-
-
 def loss_and_grad(state: ModelState, cfg):
-    """ufm_loss and its exact gradient blocks (G_W, G_H, g_b) from one forward pass.
+    """Risk L(W, H, b) and its exact gradient blocks (G_W, G_H, g_b) from one forward pass.
 
     For one problem, cfg is its ProblemConfig.  For B problems, the arrays
     of state carry a leading batch axis (W: B x d x K, H: B x d x N, b: B x K)

@@ -9,14 +9,13 @@ minimizer's orthogonal factor is not unique.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .config import OptimizerConfig, ProblemConfig
-from .closed_form import logit_scale, mean_logit_matrix, minimizer_scales, optimal_loss
+from .closed_form import logit_scale, mean_logit_matrix, minimizer_norms, optimal_loss
 from .core import ModelState, Workspace, loss_and_grad
 from . import nc_metrics
 from . import spectral
@@ -86,14 +85,9 @@ def _stack_rows(state, ws, cfg, it, loss, L_star, compute_metrics, rec) -> list[
             for row in zip(loss, *metrics, grad_norm, loss - L_star)]
 
 
-def run(
-    cfg: ProblemConfig,
-    opt: OptimizerConfig,
-    state: ModelState | None = None,
-    compute_metrics: bool = True,
-) -> Trajectory:
-    """Heavy-ball gradient descent until loss - L* < loss_tol or max_iters."""
-    return next(run_stack([cfg], opt, [opt.seed], [state], compute_metrics))
+def run(cfg: ProblemConfig, opt: OptimizerConfig, compute_metrics: bool = True) -> Trajectory:
+    """Heavy-ball gradient descent from init_state until loss - L* < loss_tol or max_iters."""
+    return next(run_stack([cfg], opt, [opt.seed], compute_metrics))
 
 
 # The reused arrays of one stack stay within this many bytes; longer member
@@ -103,33 +97,27 @@ def run(
 STACK_BYTES = 2**22
 
 
-def run_stack(
-    cfgs, opt, seeds, states=None, compute_metrics: bool = True
-) -> Iterator[Trajectory]:
-    """run(cfgs[i], opt with seed seeds[i], states[i]) for each member, as stacked problems.
+def run_stack(cfgs, opt, seeds, compute_metrics: bool = True) -> Iterator[Trajectory]:
+    """run(cfgs[i], opt with seed seeds[i]) for each member, as stacked problems.
 
-    The members share K, n and d; a member's seed picks its initial state
-    when it has none.  Each iteration is one loss_and_grad pass over the
-    members still running; a member leaves the stack when it stops, and its
-    trajectory is the one run gives it alone.  Trajectories are yielded in
-    member order as each stack finishes, so a caller that keeps none of them
-    holds at most one stack's final states.
+    The members share K, n and d; a member's seed picks its initial state.
+    Each iteration is one loss_and_grad pass over the members still running;
+    a member leaves the stack when it stops, and its trajectory is the one
+    run gives it alone.  Trajectories are yielded in member order as each
+    stack finishes, so a caller that keeps none of them holds at most one
+    stack's final states.
     """
     if not cfgs:
         return
-    states = states or [None] * len(cfgs)
     d, K, N = cfgs[0].d, cfgs[0].K, cfgs[0].N
     # Per member: flat, vel, G and t (P floats each), and Z, E and targets (K x N each).
     width = max(1, STACK_BYTES // (8 * (4 * (d * (K + N) + K) + 3 * K * N)))
     if len(cfgs) > width:
         for i in range(0, len(cfgs), width):
             yield from run_stack(cfgs[i : i + width], opt, seeds[i : i + width],
-                                 states[i : i + width], compute_metrics)
+                                 compute_metrics)
         return
-    states = [init_state(c, replace(opt, seed=seed)) if s is None else s
-              for c, seed, s in zip(cfgs, seeds, states)]
-    for s, c in zip(states, cfgs):
-        s.check_shapes(c)
+    states = [init_state(c, replace(opt, seed=seed)) for c, seed in zip(cfgs, seeds)]
     ws = Workspace(cfgs)
     flat = np.stack([np.concatenate([s.W.ravel(), s.H.ravel(), s.b]) for s in states])
     state, vel = ModelState(*ws.blocks(flat)), np.zeros_like(flat)
@@ -213,24 +201,18 @@ def delta_sweep(
     cfgs = [replace(cfg_base, delta=delta) for delta in deltas]
     rows = []
     for cfg, traj in zip(cfgs, run_stack(cfgs, opt, [opt.seed] * len(cfgs))):
-        a = logit_scale(cfg)
-        # ||W|| of the minimizer: W = c_w P (K I - 11^T) and ||K I - 11^T|| = K sqrt(K - 1).
-        w_norm = minimizer_scales(cfg)[0] * cfg.K * math.sqrt(cfg.K - 1)
-        if a == 0.0:
-            kappa_h = kappa_w = float("nan")
-        else:
-            kappa_h = spectral.analytic_feature_hessian_spectrum(cfg).condition_number
-            kappa_w = (
-                spectral.analytic_classifier_hessian_spectrum(cfg).condition_number
-                if cfg.K >= 3
-                else float("nan")
-            )
+        kappa_h = spectral.analytic_feature_hessian_spectrum(cfg).condition_number
+        kappa_w = (
+            spectral.analytic_classifier_hessian_spectrum(cfg).condition_number
+            if cfg.K >= 3
+            else float("nan")
+        )
         last = traj.rows[-1]
         rows.append(
             SweepRow(
                 delta=cfg.delta,
-                a_delta=a,
-                w_norm=w_norm,
+                a_delta=logit_scale(cfg),
+                w_norm=minimizer_norms(cfg)[0],
                 kappa_h=kappa_h,
                 kappa_w=kappa_w,
                 iters_to_eps=last.iter if traj.converged else None,

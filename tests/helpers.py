@@ -2,9 +2,9 @@
 
 import numpy as np
 
-from ufmlab.closed_form import optimal_loss
+from ufmlab.closed_form import global_minimizer, optimal_loss
 from ufmlab.config import ProblemConfig, one_hot_labels, smooth_labels
-from ufmlab.core import ModelState, softmax_cols, ufm_loss
+from ufmlab.core import ModelState, loss_and_grad, softmax_cols
 from ufmlab.nc_metrics import NC1_UNDEFINED, PINV_RCOND
 from ufmlab.spectral import probability_laplacian
 
@@ -33,14 +33,15 @@ def unpack(x: np.ndarray, cfg: ProblemConfig) -> ModelState:
 
 
 def fd_gradient(cfg: ProblemConfig, state: ModelState, step: float = 1e-5) -> np.ndarray:
-    """Central finite differences of ufm_loss over all parameters."""
+    """Central finite differences of the loss over all parameters."""
     x0 = pack(state)
     g = np.zeros_like(x0)
     for i in range(len(x0)):
         xp, xm = x0.copy(), x0.copy()
         xp[i] += step
         xm[i] -= step
-        g[i] = (ufm_loss(unpack(xp, cfg), cfg) - ufm_loss(unpack(xm, cfg), cfg)) / (2 * step)
+        g[i] = (loss_and_grad(unpack(xp, cfg), cfg)[0]
+                - loss_and_grad(unpack(xm, cfg), cfg)[0]) / (2 * step)
     return g
 
 
@@ -59,7 +60,16 @@ def phi_unregularized(state: ModelState, cfg: ProblemConfig) -> float:
         + 0.5 * cfg.lambda_h * np.sum(state.H**2)
         + 0.5 * cfg.lambda_b * np.sum(state.b**2)
     )
-    return ufm_loss(state, cfg) - reg
+    return loss_and_grad(state, cfg)[0] - reg
+
+
+def rotated_minimizer(cfg: ProblemConfig, seed: int) -> ModelState:
+    """The closed-form minimizer (QW, QH, b) turned by a seeded d x d orthogonal Q,
+    which is a minimizer too: the loss sees W and H only through W^T H."""
+    Q, R = np.linalg.qr(np.random.default_rng(seed).standard_normal((cfg.d, cfg.d)))
+    Q *= np.sign(np.diag(R))
+    state = global_minimizer(cfg)
+    return ModelState(Q @ state.W, Q @ state.H, state.b)
 
 
 def dense_classifier_hessian(state: ModelState, cfg: ProblemConfig, f=lambda x: x) -> np.ndarray:

@@ -10,13 +10,12 @@ import pytest
 from ufmlab.config import OptimizerConfig, ProblemConfig
 from ufmlab.calibration import LogitDataset, ece, fit_temperature, nll
 from ufmlab.closed_form import (
-    class_mean_matrix,
     global_minimizer,
     logit_scale,
     mean_logit_matrix,
     solve_logit_scale_by_bisection,
 )
-from ufmlab.core import gradient_norm, loss_and_grad, softmax_cols, ufm_loss
+from ufmlab.core import gradient_norm, loss_and_grad, softmax_cols
 from ufmlab.descent import iterations_to_epsilon, run
 from ufmlab.nc_metrics import centered, class_means, nc1, nc2, nc3
 from ufmlab.spectral import (
@@ -67,14 +66,14 @@ def test_criterion_2_stationarity_and_optimality():
     # perturbation optimality on a representative subset (full 200 each)
     for cfg in CONFIG_GRID[:: len(CONFIG_GRID) // 8]:
         state = global_minimizer(cfg)
-        base = ufm_loss(state, cfg)
+        base = loss_and_grad(state, cfg)[0]
         for _ in range(200):
             pert = random_state(cfg, rng, scale=0.1)
             noisy = state.copy()
             noisy.W += pert.W
             noisy.H += pert.H
             noisy.b += pert.b
-            beaten &= ufm_loss(noisy, cfg) >= base
+            beaten &= loss_and_grad(noisy, cfg)[0] >= base
     elapsed = time.monotonic() - start
     report(2, worst_grad < 1e-8 and beaten and elapsed < 30.0,
            f"max gradient norm {worst_grad:.2e}, perturbations beaten={beaten}, "
@@ -186,8 +185,9 @@ def test_criterion_9_norm_trend():
     w_norms, h_norms = [], []
     for delta in deltas:
         cfg = replace(base, delta=delta)
-        w_norms.append(float(np.linalg.norm(global_minimizer(cfg).W)))
-        h_norms.append(float(np.linalg.norm(class_mean_matrix(cfg))))
+        state = global_minimizer(cfg)
+        w_norms.append(float(np.linalg.norm(state.W)))
+        h_norms.append(float(np.linalg.norm(centered(class_means(state.H, cfg.K)))))
     monotone = all(a >= b for a, b in zip(w_norms, w_norms[1:])) and \
                all(a >= b for a, b in zip(h_norms, h_norms[1:]))
     boundary_cfg = replace(base, delta=0.98)

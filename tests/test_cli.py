@@ -258,6 +258,13 @@ class TestConfigBoundary:
         assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "x"])
+    def test_non_finite_perturb_rejected_by_the_parser(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", f"--perturb={value}"])  # "=" lets "-inf" through as a value
+        assert exc.value.code == 2
+        assert "argument --perturb: must be finite" in capsys.readouterr().err
+
 
 class TestSweepSection:
     @pytest.mark.parametrize("extra, argv, name", [

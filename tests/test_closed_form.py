@@ -9,20 +9,25 @@ from hypothesis import strategies as st
 
 from ufmlab.config import ProblemConfig
 from ufmlab.closed_form import (
-    class_mean_matrix,
     class_probabilities,
     global_minimizer,
     logit_scale,
     mean_logit_matrix,
+    minimizer_norms,
     minimizer_scales,
     optimal_loss,
-    partial_orthogonal,
     simplex_etf_core,
     solve_logit_scale_by_bisection,
 )
-from ufmlab.core import gradient_norm, softmax_cols, ufm_loss
+from ufmlab.core import gradient_norm, loss_and_grad, softmax_cols
+from ufmlab.nc_metrics import centered, class_means
 
-from helpers import CONFIG_GRID as GRID, random_state
+from helpers import CONFIG_GRID as GRID, random_state, rotated_minimizer
+
+
+def minimizer_class_means(cfg: ProblemConfig) -> np.ndarray:
+    """Centered class means Hbar (d x K) of the built minimizer."""
+    return centered(class_means(global_minimizer(cfg).H, cfg.K))
 
 
 class TestLogitScale:
@@ -82,7 +87,7 @@ class TestOptimalLoss:
         # The forward pass is the oracle.
         for cfg in GRID:
             assert optimal_loss(cfg) == pytest.approx(
-                ufm_loss(global_minimizer(cfg), cfg), rel=1e-12)
+                loss_and_grad(global_minimizer(cfg), cfg)[0], rel=1e-12)
 
     @pytest.mark.parametrize("cfg", [
         ProblemConfig(K=2, n=1, d=2, lambda_w=1e-4, lambda_h=1e-4),
@@ -113,24 +118,6 @@ class TestOptimalLoss:
         assert optimal_loss(cfg) == pytest.approx(math.log(cfg.K), rel=1e-15, abs=0.0)
 
 
-class TestPartialOrthogonal:
-    def test_canonical_identity_embedding(self):
-        P = partial_orthogonal(5, 3)
-        assert np.array_equal(P, np.eye(5, 3))
-
-    def test_seeded_is_orthonormal(self):
-        P = partial_orthogonal(7, 4, seed=42)
-        assert np.allclose(P.T @ P, np.eye(4), atol=1e-12)
-
-    def test_seeded_deterministic(self):
-        assert np.array_equal(partial_orthogonal(6, 3, seed=9),
-                              partial_orthogonal(6, 3, seed=9))
-
-    def test_rejects_d_less_than_k(self):
-        with pytest.raises(ValueError):
-            partial_orthogonal(2, 3)
-
-
 class TestMeanLogitMatrix:
     def test_zero_scale_zero_matrix(self):
         cfg = ProblemConfig(K=3, n=10, d=3, delta=0.9, lambda_w=0.5, lambda_h=0.5)
@@ -155,6 +142,13 @@ class TestMeanLogitMatrix:
 
 
 class TestGlobalMinimizer:
+    def test_canonical_identity_embedding(self):
+        cfg = ProblemConfig(K=3, n=2, d=5, delta=0.1)
+        c_w = minimizer_scales(cfg)[0]
+        state = global_minimizer(cfg)
+        assert np.array_equal(state.W, np.eye(5, 3) @ (c_w * simplex_etf_core(3)))
+        assert np.array_equal(state.H[3:], np.zeros((2, 6)))
+
     def test_bias_exactly_zero(self):
         state = global_minimizer(ProblemConfig(K=3, n=2, d=4, delta=0.1))
         assert np.array_equal(state.b, np.zeros(3))
@@ -179,24 +173,24 @@ class TestGlobalMinimizer:
         rng = np.random.default_rng(17)
         cfg = ProblemConfig(K=4, n=2, d=6, delta=0.1)
         state = global_minimizer(cfg)
-        base_loss = ufm_loss(state, cfg)
+        base_loss = loss_and_grad(state, cfg)[0]
         for _ in range(100):
             pert = random_state(cfg, rng, scale=0.1)
             noisy = state.copy()
             noisy.W += pert.W
             noisy.H += pert.H
             noisy.b += pert.b
-            assert ufm_loss(noisy, cfg) >= base_loss
+            assert loss_and_grad(noisy, cfg)[0] >= base_loss
 
     def test_mean_logits_match(self):
         for cfg in GRID:
             state = global_minimizer(cfg)
-            Hbar = class_mean_matrix(cfg)
+            Hbar = centered(class_means(state.H, cfg.K))
             assert np.allclose(state.W.T @ Hbar, mean_logit_matrix(cfg), atol=1e-10)
 
     def test_gram_is_simplex_etf(self):
         cfg = ProblemConfig(K=5, n=2, d=8, delta=0.05)
-        Hbar = class_mean_matrix(cfg)
+        Hbar = minimizer_class_means(cfg)
         G = Hbar.T @ Hbar
         _, c_h = minimizer_scales(cfg)
         expected = c_h**2 * cfg.K * simplex_etf_core(cfg.K)
@@ -215,19 +209,13 @@ class TestGlobalMinimizer:
         for dd in (0.0, 0.05, 0.1, 0.3, 0.6, 0.9):
             cfg = replace(base, delta=dd)
             norms_w.append(np.linalg.norm(global_minimizer(cfg).W))
-            norms_h.append(np.linalg.norm(class_mean_matrix(cfg)))
+            norms_h.append(np.linalg.norm(minimizer_class_means(cfg)))
         assert all(a >= b for a, b in zip(norms_w, norms_w[1:]))
         assert all(a >= b for a, b in zip(norms_h, norms_h[1:]))
 
     def test_seeded_rotation_still_stationary(self):
         cfg = ProblemConfig(K=3, n=2, d=6, delta=0.1)
-        P = partial_orthogonal(6, 3, seed=4)
-        assert gradient_norm(global_minimizer(cfg, P), cfg) < 1e-8
-
-    def test_rejects_non_orthogonal_p(self):
-        cfg = ProblemConfig(K=3, n=2, d=4)
-        with pytest.raises(ValueError):
-            global_minimizer(cfg, np.ones((4, 3)))
+        assert gradient_norm(rotated_minimizer(cfg, 4), cfg) < 1e-8
 
 
 @st.composite
@@ -249,6 +237,14 @@ class TestConfigSpace:
         decay = math.hypot(cfg.lambda_w * np.linalg.norm(state.W),
                            cfg.lambda_h * np.linalg.norm(state.H))
         assert gradient_norm(state, cfg) <= 1e-10 * decay + 1e-14
+
+    @given(problem_configs())
+    @settings(max_examples=100, deadline=None)
+    def test_minimizer_norms_match_the_built_minimizer(self, cfg):
+        w_norm, h_bar_norm = minimizer_norms(cfg)
+        assert w_norm == pytest.approx(np.linalg.norm(global_minimizer(cfg).W), rel=1e-12, abs=0)
+        assert h_bar_norm == pytest.approx(np.linalg.norm(minimizer_class_means(cfg)),
+                                           rel=1e-12, abs=0)
 
     @given(problem_configs())
     @settings(max_examples=200, deadline=None)

@@ -2,7 +2,6 @@ import math
 import numpy as np
 import pytest
 
-import ufmlab
 from ufmlab.config import OptimizerConfig, ProblemConfig, one_hot_labels, smooth_labels
 from ufmlab.closed_form import logit_scale
 
@@ -25,6 +24,12 @@ class TestProblemConfigLambdas:
         assert math.isfinite(logit_scale(cfg)) and logit_scale(cfg) > 0.0
 
 
+class TestProblemConfigSizes:
+    def test_rejects_d_less_than_k(self):
+        with pytest.raises(ValueError, match=r"d must be >= K \(3\), got 2"):
+            ProblemConfig(K=3, n=2, d=2)
+
+
 class TestProblemConfigLabels:
     def test_class_major_layout(self):
         cfg = ProblemConfig(K=3, n=2, d=4, delta=0.3)
@@ -32,9 +37,6 @@ class TestProblemConfigLabels:
         targets = smooth_labels(one_hot_labels(cfg.K, cfg.n), cfg.delta)
         assert np.array_equal(targets.argmax(axis=0), [0, 0, 1, 1, 2, 2])
         assert np.array_equal(targets.argmax(axis=0), np.repeat(np.arange(cfg.K), cfg.n))
-
-    def test_builders_reexported(self):
-        assert ufmlab.smooth_labels is smooth_labels
 
 
 class TestOptimizerConfigFinite:

@@ -6,13 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ufmlab.config import ProblemConfig, one_hot_labels, smooth_labels
-from ufmlab.core import (
-    ModelState,
-    Workspace,
-    loss_and_grad,
-    softmax_cols,
-    ufm_loss,
-)
+from ufmlab.core import ModelState, Workspace, loss_and_grad, softmax_cols
 from ufmlab.theory import SATURATION_VALUE, ls_equalization_gap
 
 from helpers import CONFIG_GRID, fd_gradient, pack, random_state, reference_loss_and_grad
@@ -76,7 +70,7 @@ class TestLoss:
     def test_zero_state_gives_log_k(self):
         cfg = ProblemConfig(K=4, n=2, d=5, delta=0.1)
         state = ModelState(np.zeros((5, 4)), np.zeros((5, 8)), np.zeros(4))
-        assert ufm_loss(state, cfg) == pytest.approx(math.log(4), abs=1e-12)
+        assert loss_and_grad(state, cfg)[0] == pytest.approx(math.log(4), abs=1e-12)
 
     def test_hand_computed_small_instance(self):
         cfg = ProblemConfig(K=2, n=1, d=2, delta=0.0,
@@ -95,13 +89,13 @@ class TestLoss:
         expected = total / 2
         expected += 0.005 * sum(W.ravel() ** 2) + 0.01 * sum(H.ravel() ** 2)
         expected += 0.015 * sum(b**2)
-        assert ufm_loss(state, cfg) == pytest.approx(expected, rel=1e-12)
+        assert loss_and_grad(state, cfg)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_dimension_mismatch(self):
         cfg = ProblemConfig(K=3, n=2, d=4)
         state = ModelState(np.zeros((4, 2)), np.zeros((4, 6)), np.zeros(3))
         with pytest.raises(ValueError):
-            ufm_loss(state, cfg)
+            loss_and_grad(state, cfg)
 
     def test_affine_in_target(self):
         # loss with smoothed targets = (1-delta) loss(one-hot) + delta loss(uniform)
@@ -114,11 +108,11 @@ class TestLoss:
         cfg_0 = ProblemConfig(delta=0.0, **base)
         for _ in range(10):
             state = random_state(cfg_d, rng)
-            l_0 = ufm_loss(state, cfg_0)
+            l_0 = loss_and_grad(state, cfg_0)[0]
             reg = l_0 - phi_unregularized(state, cfg_0)
             # uniform targets 1/K: the data term is the mean of -log softmax
             l_u = -np.log(softmax_cols(state.logits())).mean(axis=0).sum() / 6 + reg
-            assert ufm_loss(state, cfg_d) == pytest.approx(
+            assert loss_and_grad(state, cfg_d)[0] == pytest.approx(
                 (1 - delta) * l_0 + delta * l_u, abs=1e-12
             )
 
@@ -170,7 +164,7 @@ class TestStackedKernel:
             state = random_state(cfg, rng)
             loss, grads = loss_and_grad(state, cfg)
             ref_loss, ref_grads = reference_loss_and_grad(state, cfg)
-            assert type(loss) is float and loss == ref_loss == ufm_loss(state, cfg)
+            assert type(loss) is float and loss == ref_loss
             assert all(np.array_equal(g, r) for g, r in zip(grads, ref_grads))
 
     def test_each_member_equals_its_own_pass(self):

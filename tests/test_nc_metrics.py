@@ -3,9 +3,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_class_covariances, reference_nc1
+from helpers import reference_class_covariances, reference_nc1, rotated_minimizer
 from ufmlab.config import ProblemConfig
-from ufmlab.closed_form import global_minimizer, partial_orthogonal
+from ufmlab.closed_form import global_minimizer
 from ufmlab.nc_metrics import (
     NC1_UNDEFINED,
     centered,
@@ -206,8 +206,7 @@ class TestClosedFormMetrics:
     def test_all_metrics_small_with_random_rotations(self):
         for seed in (1, 2, 3):
             cfg = ProblemConfig(K=4, n=2, d=7, delta=0.1)
-            P = partial_orthogonal(cfg.d, cfg.K, seed=seed)
-            state = global_minimizer(cfg, P)
+            state = rotated_minimizer(cfg, seed)
             means = state_means(state, cfg)
             assert nc1(state.H, means) < 1e-8
             assert nc2(state.W, means) < 1e-8

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ufmlab.config import ProblemConfig
-from ufmlab.closed_form import class_probabilities, global_minimizer, partial_orthogonal
+from ufmlab.closed_form import class_probabilities, global_minimizer
 from ufmlab.core import ModelState
 from ufmlab.spectral import (
     analytic_classifier_hessian_spectrum,
@@ -22,7 +22,8 @@ from ufmlab.spectral import (
     probability_laplacian,
 )
 
-from helpers import CONFIG_GRID, dense_classifier_hessian, phi_unregularized, random_state
+from helpers import (CONFIG_GRID, dense_classifier_hessian, phi_unregularized, random_state,
+                     rotated_minimizer)
 
 SPECTRUM_GRID = [
     ProblemConfig(K=K, n=n, d=d, delta=delta)
@@ -201,11 +202,8 @@ class TestNumericHessians:
 
     def test_rotation_invariant_spectra(self):
         cfg = ProblemConfig(K=4, n=2, d=7, delta=0.1)
-        vals = []
-        for seed in (None, 3, 8):
-            P = partial_orthogonal(cfg.d, cfg.K, seed=seed)
-            state = global_minimizer(cfg, P)
-            vals.append(np.linalg.eigvalsh(numeric_hessian_features(state, cfg)))
+        states = [global_minimizer(cfg), rotated_minimizer(cfg, 3), rotated_minimizer(cfg, 8)]
+        vals = [np.linalg.eigvalsh(numeric_hessian_features(s, cfg)) for s in states]
         assert np.allclose(vals[0], vals[1], atol=1e-12)
         assert np.allclose(vals[0], vals[2], atol=1e-12)
 

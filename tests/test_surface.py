@@ -3,8 +3,8 @@
 A name that only the tests reach is dead weight in the package: the tests
 should check its behaviour through the code that the CLI runs.  The scan is
 by name: a definition counts as used when a Name, an Attribute or an
-import in src/ufmlab, outside the definition itself, carries its name (so
-the package's exports in __init__ count).
+import in src/ufmlab, outside the definition itself and outside the
+package's __init__, carries its name (a re-export is not a caller).
 """
 
 import ast
@@ -40,7 +40,8 @@ def _public_defs(module: ast.Module):
 
 
 def test_every_public_name_has_a_caller_in_src():
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))
+             if path.stem != "__init__"}
     used = sum((_references(tree) for tree in trees.values()), Counter())
     unused = sorted(
         f"{module}.{name}"

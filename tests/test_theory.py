@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ufmlab.config import OptimizerConfig, ProblemConfig
-from ufmlab.closed_form import class_mean_matrix, global_minimizer
+from ufmlab.closed_form import global_minimizer
 from ufmlab.descent import run
 from ufmlab.nc_metrics import centered, class_means
 from ufmlab.theory import (
@@ -87,12 +87,12 @@ class TestDualityGap:
     def test_closed_form_is_self_dual(self):
         cfg = ProblemConfig(K=4, n=3, d=6, delta=0.1)
         state = global_minimizer(cfg)
-        assert duality_gap(state.W, class_mean_matrix(cfg), cfg) < 1e-10
+        assert duality_gap(state.W, centered(class_means(state.H, cfg.K)), cfg) < 1e-10
 
     def test_perturbation_linearity(self):
         cfg = ProblemConfig(K=3, n=2, d=4, delta=0.05)
         state = global_minimizer(cfg)
-        Hbar = class_mean_matrix(cfg)
+        Hbar = centered(class_means(state.H, cfg.K))
         E = np.random.default_rng(7).standard_normal((4, 3))
         eps = 1e-3
         gap = duality_gap(state.W + eps * E, Hbar, cfg)
