@@ -99,7 +99,8 @@ def ece(ds: LogitDataset, bins: int = 20) -> CalibrationReport:
     """Expected calibration error report (no temperature fitting).
 
     With E = exp(S) and s its column sums, p = E / s: the top class has
-    S = 0, so the confidence is 1 / s, and the entropy is log s - sum(E S) / s.
+    S = 0, so the confidence is 1 / s, the entropy is log s - sum(E S) / s,
+    and the NLL at T = 1 (nll_before) is mean(log s) - mean(S_y).
     """
     # argmax over axis 0 copies the logits; done first, the copy is freed before E exists.
     correct = ds.logits.argmax(axis=0) == ds.labels
@@ -107,10 +108,12 @@ def ece(ds: LogitDataset, bins: int = 20) -> CalibrationReport:
     s = E.sum(axis=0)
     bin_list = reliability_bins(1.0 / s, correct, bins)
     E *= ds.shifted
+    log_s = np.log(s)
     return CalibrationReport(
         ece=ece_from_bins(bin_list, ds.M),
         bins=bin_list,
-        mean_entropy=float(np.mean(np.log(s) - E.sum(axis=0) / s)),
+        nll_before=float(log_s.mean() - ds.shifted_at_label.mean()),
+        mean_entropy=float(np.mean(log_s - E.sum(axis=0) / s)),
         accuracy=float(correct.mean()),
     )
 
@@ -122,13 +125,13 @@ def nll(ds: LogitDataset, T: float = 1.0) -> float:
     return float(np.log(s).mean() - ds.shifted_at_label.mean() / T)
 
 
-def fit_temperature(ds: LogitDataset):
+def fit_temperature(ds: LogitDataset, nll_before: float):
     """Golden-section search for the NLL-minimizing temperature.
 
+    nll_before is nll(ds, 1.0), which ece's pass over ds already gives.
     Returns (T, nll_before, nll_after, flag); flag is set when the logits
     carry no information (all columns constant), in which case T = 1.
     """
-    nll_before = nll(ds, 1.0)
     if ds.shifted.min() > -1e-12:  # every logit within 1e-12 of its column's max
         return 1.0, nll_before, nll_before, "degenerate"
 
@@ -164,16 +167,18 @@ def calibration_report(
 ) -> CalibrationReport:
     """Full report; optionally fits T (on a held-out split if requested)."""
     report = ece(ds, bins)
-    if fit_T:
-        if holdout_fraction > 0.0:
-            rng = np.random.default_rng(seed)
-            m_fit = max(1, int(round(holdout_fraction * ds.M)))
-            T, _, _, flag = fit_temperature(ds.subset(rng.permutation(ds.M)[:m_fit]))
-            before, after = nll(ds, 1.0), nll(ds, T)
-        else:  # the fit's own NLLs are on ds already
-            T, before, after, flag = fit_temperature(ds)
-        report.temperature = T
-        report.nll_before = before
-        report.nll_after = after
-        report.temperature_flag = flag
+    if not fit_T:
+        report.nll_before = None  # reported next to a fitted temperature only
+        return report
+    if holdout_fraction > 0.0:
+        rng = np.random.default_rng(seed)
+        m_fit = max(1, int(round(holdout_fraction * ds.M)))
+        fit = ds.subset(rng.permutation(ds.M)[:m_fit])
+        T, _, _, flag = fit_temperature(fit, nll(fit, 1.0))
+        after = nll(ds, T)
+    else:  # the fit's own NLLs are on ds already
+        T, _, after, flag = fit_temperature(ds, report.nll_before)
+    report.temperature = T
+    report.nll_after = after
+    report.temperature_flag = flag
     return report

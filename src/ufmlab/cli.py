@@ -209,6 +209,7 @@ def cmd_optimize(args) -> int:
     final = traj.rows[-1]
     return _publish(args.out, "optimize", {
         "converged": traj.converged,
+        "degenerate": logit_scale(cfg) == 0.0,
         "iterations": final.iter,
         "final_loss": final.loss,
         "optimal_loss": traj.optimal_value,
@@ -295,6 +296,7 @@ def cmd_race(args) -> int:
     rows = descent.convergence_race(cfg, opt)
     wins = sum(r.smoothing_won for r in rows)
     return _publish(args.out, "race", {
+        "degenerate": logit_scale(cfg) == 0.0,
         "seeds": [r.seed for r in rows],
         "rel_eps": descent.RACE_REL_EPS,
         "smoothing_wins": wins,

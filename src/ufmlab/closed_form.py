@@ -84,30 +84,3 @@ def optimal_loss(cfg: ProblemConfig) -> float:
     ce = math.log1p((K - 1) * math.exp(-a * K)) + cfg.delta * (K - 1) * a
     return ce + a * K * (K - 1) * math.sqrt(cfg.n) * cfg.lambda_z
 
-
-def solve_logit_scale_by_bisection(cfg: ProblemConfig, tol: float = 1e-14) -> float:
-    """Independent check of logit_scale via the scalar optimality equation.
-
-    Solves K / (K - 1 + e^{aK}) - delta = sqrt(NK) * lambda_z for a >= 0
-    by bisection; returns 0 when no positive root exists.
-    """
-    K = cfg.K
-    rhs = math.sqrt(cfg.N * K) * cfg.lambda_z
-
-    def f(a):
-        return K / (K - 1.0 + math.exp(a * K)) - cfg.delta - rhs
-
-    if f(0.0) <= 0.0:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    while f(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e6:
-            raise RuntimeError("bisection bracket failed")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

@@ -4,8 +4,8 @@ Matrix conventions: the classifier W is d x K, the feature matrix H is
 d x N with column (k*n + i) holding sample i of class k (classes are
 0-based), and the bias b is a K-vector.  Labels are stored one-hot as a
 K x N matrix Y; a Workspace smooths one Y into the targets of each of its
-problems.  B problems that share K, n and d can be stacked: every array
-then carries a leading batch axis (see Workspace).
+problems.  B problems that share K, n and d can be stacked as one B x P
+array whose rows are their W, H and b raveled (see Workspace).
 """
 
 from __future__ import annotations
@@ -37,6 +37,10 @@ class ModelState:
         if self.b.shape != (K,):
             raise ValueError(f"b has shape {self.b.shape}, expected {(K,)}")
 
+    def ravel(self) -> np.ndarray:
+        """W, H and b raveled into one P-vector, in that order (P = dK + dN + K)."""
+        return np.concatenate([self.W.ravel(), self.H.ravel(), self.b])
+
     def logits(self) -> np.ndarray:
         """Z = W^T H + b 1^T, shape K x N."""
         return self.W.T @ self.H + self.b[:, None]
@@ -55,15 +59,19 @@ class Workspace:
     """Targets, weight decays and reused buffers of B problems that share K, n and d.
 
     A pass reuses them, so descent allocates no K x N or d x N temporaries:
-    Z, E (B x K x N) logits and exponentials; m, s (B x 1 x N) column maxima
-    or logs and sums; G, t (B x P, P = dK + dN + K) flat gradient and scratch.
+    Z, E (B x K x N) shifted logits and exponentials; m, s (B x 1 x N) column
+    maxima, then log sums, and sums, then 1 / (N sums); G, t (B x P,
+    P = dK + dN + K) flat gradient and lambda * theta.  targets_n holds the
+    smoothed targets divided by N.  The views a pass reads are built once per
+    stack (take) and once per flat array (_bind), not on every pass.
     """
 
     def __init__(self, cfgs):
         K, N, d, B = cfgs[0].K, cfgs[0].N, cfgs[0].d, len(cfgs)
         self.dims = d, K, N
         Y = one_hot_labels(K, cfgs[0].n)
-        self.targets = np.stack([smooth_labels(Y, c.delta) for c in cfgs])
+        self.targets_n = np.stack([smooth_labels(Y, c.delta) for c in cfgs])
+        self.targets_n /= N
         # Y goes before the buffers below are allocated, so they can reuse its heap
         # space; kept to the end of __init__, it raised peak RSS by 1.4 MB at
         # K=100, n=20, d=128.
@@ -82,65 +90,76 @@ class Workspace:
     def take(self, keep: np.ndarray):
         """Keep the problems where keep is True, in order, at the front of the stack."""
         if not keep.all():
-            self.targets, self.lambdas = self.targets[keep], self.lambdas[keep]
-        lam = self.lambdas
-        self.Z, self.E, self.m, self.s, self.G, self.t = (a[: len(lam)] for a in self._buffers)
+            self.targets_n, self.lambdas = self.targets_n[keep], self.lambdas[keep]
+        lam, B = self.lambdas, len(self.lambdas)
+        self.Z, self.E, self.m, self.s, self.G, self.t = (a[:B] for a in self._buffers)
+        self.ET, self.log_s = np.swapaxes(self.E, -1, -2), self.m[:, 0]
         self.G_blocks, self.t_blocks = self.blocks(self.G), self.blocks(self.t)
-        self.half = 0.5 * lam.T
+        # The batched dots <Y/N, S> and <t, theta>: B products of a 1 x KN row and a KN x 1 column.
+        self.targets_row = self.targets_n.reshape(B, 1, -1)
+        self.S_col, self.t_row = self.Z.reshape(B, -1, 1), self.t[:, None]
         self.decay = lam[:, 0, None, None], lam[:, 1, None, None], lam[:, 2, None]
+        self.flat = None
+
+    def _bind(self, flat: np.ndarray):
+        """Build the views of flat that a pass reads; flat must stay the same array."""
+        self.flat, self.flat_col = flat, flat[..., None]
+        self.W, self.H, self.b = self.blocks(flat)
+        self.WT, self.b_col = np.swapaxes(self.W, -1, -2), self.b[..., None]
 
 
-def _stacked(state: ModelState, cfg):
-    """(state, workspace, one problem?) with state's arrays stacked on a leading axis."""
-    if isinstance(cfg, Workspace):
-        return state, cfg, False
-    state.check_shapes(cfg)
-    return ModelState(state.W[None], state.H[None], state.b[None]), Workspace([cfg]), True
+def _pass(flat: np.ndarray, ws: Workspace) -> np.ndarray:
+    """Loss of each stacked problem; leaves its gradient in ws.G.
 
-
-def _forward(state: ModelState, ws: Workspace) -> np.ndarray:
-    """Loss of each stacked problem; leaves exp(Z - max) in ws.E and its column sums in ws.s.
-
-    Classes run along axis -2 and samples along axis -1.  Non-finite logits
-    are not rejected here; they make the loss non-finite, which callers
-    treat as divergence.  (The ufunc methods skip the np.sum wrappers, whose
-    dispatch costs more than the arithmetic at paper scale.)
+    Classes run along axis -2 and samples along axis -1.  Every column of
+    the targets sums to 1, so the cross-entropy is mean_j log s_j - <Y/N, S>
+    for the shifted logits S = Z - max and s the column sums of exp(S), and
+    dL/dZ is exp(S) / (N s) - Y/N.  Non-finite logits are not rejected here;
+    they make the loss non-finite, which callers treat as divergence.  (The
+    ufunc methods skip the np.sum wrappers, whose dispatch costs more than
+    the arithmetic at paper scale.)
     """
-    W, H, b, Z, m, s = state.W, state.H, state.b, ws.Z, ws.m, ws.s
-    np.matmul(np.swapaxes(W, -1, -2), H, out=Z)
-    Z += b[..., None]
-    Z -= np.maximum.reduce(Z, axis=-2, keepdims=True, out=m)
-    np.add.reduce(np.exp(Z, out=ws.E), axis=-2, keepdims=True, out=s)
-    Z -= np.log(s, out=m)
-    Z *= ws.targets
-    # sum(Y * -(Z - log s)) / N, with the sign moved to the divisor.
-    ce = np.add.reduce(np.add.reduce(Z, axis=-2, out=m[:, 0]), axis=-1) / -ws.dims[2]
-    sq = [np.add.reduce(np.square(x, out=t).reshape(len(t), -1), axis=1)
-          for x, t in zip((W, H, b), ws.t_blocks)]
-    half = ws.half
-    return ce + (half[0] * sq[0] + half[1] * sq[1] + half[2] * sq[2])
+    if flat is not ws.flat:
+        ws._bind(flat)
+    Z, E, s, N = ws.Z, ws.E, ws.s, ws.dims[2]
+    np.matmul(ws.WT, ws.H, out=Z)
+    Z += ws.b_col
+    Z -= np.maximum.reduce(Z, axis=-2, keepdims=True, out=ws.m)
+    np.add.reduce(np.exp(Z, out=E), axis=-2, keepdims=True, out=s)
+    for x, lam, t in zip((ws.W, ws.H, ws.b), ws.decay, ws.t_blocks):
+        np.multiply(x, lam, out=t)
+    np.log(s, out=ws.m)
+    loss = np.add.reduce(ws.log_s, axis=-1)
+    loss /= N
+    loss -= np.matmul(ws.targets_row, ws.S_col)[:, 0, 0]
+    # The weight decay 1/2 <lambda theta, theta> reuses the lambda theta of the gradient.
+    loss += 0.5 * np.matmul(ws.t_row, ws.flat_col)[:, 0, 0]
+    E *= np.divide(1.0 / N, s, out=s)
+    E -= ws.targets_n
+    G = ws.G_blocks
+    np.matmul(ws.H, ws.ET, out=G[0])
+    np.matmul(ws.W, E, out=G[1])
+    np.add.reduce(E, axis=-1, out=G[2])
+    ws.G += ws.t
+    return loss
 
 
-def loss_and_grad(state: ModelState, cfg):
+def loss_and_grad(params, cfg):
     """Risk L(W, H, b) and its exact gradient blocks (G_W, G_H, g_b) from one forward pass.
 
-    For one problem, cfg is its ProblemConfig.  For B problems, the arrays
-    of state carry a leading batch axis (W: B x d x K, H: B x d x N, b: B x K)
-    and cfg is their Workspace; the loss is then a B-vector and the gradient
-    blocks are views of the flat buffer ws.G, overwritten by the next pass.
+    For B stacked problems, params is their B x P array (each row is W, H
+    and b raveled in that order) and cfg is their Workspace; the loss is
+    then a B-vector and the gradient blocks (B x d x K, B x d x N, B x K)
+    are views of the flat buffer ws.G, overwritten by the next pass.  For
+    one problem, params is its ModelState and cfg its ProblemConfig: the
+    state is packed into a 1 x P row and runs through the same pass.
     """
-    state, ws, single = _stacked(state, cfg)
-    loss, dZ, G = _forward(state, ws), ws.E, ws.G_blocks
-    dZ /= ws.s
-    dZ -= ws.targets
-    dZ /= ws.dims[2]
-    np.matmul(state.H, np.swapaxes(dZ, -1, -2), out=G[0])
-    np.matmul(state.W, dZ, out=G[1])
-    np.add.reduce(dZ, axis=-1, out=G[2])
-    for x, lam, t in zip((state.W, state.H, state.b), ws.decay, ws.t_blocks):
-        np.multiply(x, lam, out=t)
-    ws.G += ws.t
-    return (float(loss[0]), tuple(g[0] for g in G)) if single else (loss, G)
+    if isinstance(cfg, Workspace):
+        return _pass(params, cfg), cfg.G_blocks
+    params.check_shapes(cfg)
+    ws = Workspace([cfg])
+    loss = _pass(params.ravel()[None], ws)
+    return float(loss[0]), tuple(g[0] for g in ws.G_blocks)
 
 
 def gradient_norm(state: ModelState, cfg: ProblemConfig) -> float:

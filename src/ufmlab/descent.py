@@ -67,22 +67,21 @@ def init_state(cfg: ProblemConfig, opt: OptimizerConfig) -> ModelState:
     )
 
 
-def _stack_rows(state, ws, cfg, it, loss, L_star, compute_metrics, rec) -> list[TrajectoryRow]:
-    """Row it of the stack members rec (indices, in order); ws holds the gradient of state."""
-    G = ws.G
+def _stack_rows(ws, cfg, it, loss, gap, compute_metrics, rec) -> list[TrajectoryRow]:
+    """Row it of the stack members rec (indices, in order); ws holds the pass over them."""
+    W, H, G = ws.W, ws.H, ws.G
     if len(rec) < len(G):
-        state = ModelState(state.W[rec], state.H[rec], state.b[rec])
-        G, loss, L_star = G[rec], loss[rec], L_star[rec]
+        W, H, G, loss, gap = W[rec], H[rec], G[rec], loss[rec], gap[rec]
     # ws.t is the pass's scratch, free until the next pass.
     grad_norm = np.sqrt(np.add.reduce(np.square(G, out=ws.t[: len(G)]), axis=1))
     if compute_metrics:
-        W, means = state.W, nc_metrics.class_means(state.H, cfg.K)
-        metrics = (nc_metrics.nc1(state.H, means), nc_metrics.nc2(W, means),
+        means = nc_metrics.class_means(H, cfg.K)
+        metrics = (nc_metrics.nc1(H, means), nc_metrics.nc2(W, means),
                    nc_metrics.nc3(W, means), *nc_metrics.norm_summary(W, means))
     else:
         metrics = (np.full(len(loss), np.nan),) * 5
     return [TrajectoryRow(it, *map(float, row))
-            for row in zip(loss, *metrics, grad_norm, loss - L_star)]
+            for row in zip(loss, *metrics, grad_norm, gap)]
 
 
 def run(cfg: ProblemConfig, opt: OptimizerConfig, compute_metrics: bool = True) -> Trajectory:
@@ -117,38 +116,41 @@ def run_stack(cfgs, opt, seeds, compute_metrics: bool = True) -> Iterator[Trajec
             yield from run_stack(cfgs[i : i + width], opt, seeds[i : i + width],
                                  compute_metrics)
         return
-    states = [init_state(c, replace(opt, seed=seed)) for c, seed in zip(cfgs, seeds)]
     ws = Workspace(cfgs)
-    flat = np.stack([np.concatenate([s.W.ravel(), s.H.ravel(), s.b]) for s in states])
-    state, vel = ModelState(*ws.blocks(flat)), np.zeros_like(flat)
+    flat = np.stack([init_state(c, replace(opt, seed=seed)).ravel()
+                     for c, seed in zip(cfgs, seeds)])
+    vel = np.zeros_like(flat)
     L_stars = [optimal_loss(c) for c in cfgs]
     trajs = [Trajectory(optimal_value=L) for L in L_stars]
     members, L_star = np.arange(len(cfgs)), np.array(L_stars)
     history = np.empty((min(opt.max_iters, 1023) + 1, len(cfgs)))  # column i: stack slot i
 
     for it in range(opt.max_iters + 1):  # every member stops by it == max_iters
-        loss = loss_and_grad(state, ws)[0]
+        loss = loss_and_grad(flat, ws)[0]
         if it == len(history):
             history = np.concatenate([history, np.empty_like(history)])
         history[it] = loss
-        # The loss is never negative, so this catches NaN, inf and blow-ups alike.
-        if not (loss <= DIVERGENCE_LOSS).all():
+        # The loss is never negative, so this catches blow-ups, and NaN, which
+        # makes the max NaN and the comparison false.
+        if not np.maximum.reduce(loss) <= DIVERGENCE_LOSS:
             i = np.argmin(loss <= DIVERGENCE_LOSS)
             j = members[i]
             raise DivergenceError(f"loss diverged at iteration {it}: {loss[i]} (delta "
                                   f"{cfgs[j].delta}, seed {seeds[j]})", trajs[j].rows)
-        converged, keep = loss - L_star < opt.loss_tol, None
-        if converged.any() or it % opt.record_every == 0 or it == opt.max_iters:
+        gap, keep = loss - L_star, None
+        if (np.minimum.reduce(gap) < opt.loss_tol or it % opt.record_every == 0
+                or it == opt.max_iters):
+            converged = gap < opt.loss_tol
             stop = converged | (it == opt.max_iters)
             rec = np.flatnonzero(stop | (it % opt.record_every == 0))
-            rows = _stack_rows(state, ws, cfgs[0], it, loss, L_star, compute_metrics, rec)
+            rows = _stack_rows(ws, cfgs[0], it, loss, gap, compute_metrics, rec)
             for i, row in zip(rec, rows):
                 j = members[i]
                 trajs[j].rows.append(row)
                 if stop[i]:
                     trajs[j].converged = bool(converged[i])
                     trajs[j].loss_history = history[: it + 1, i].copy()
-                    trajs[j].final_state = ModelState(state.W[i], state.H[i], state.b[i]).copy()
+                    trajs[j].final_state = ModelState(ws.W[i], ws.H[i], ws.b[i]).copy()
             if stop.all():
                 yield from trajs
                 return
@@ -161,7 +163,6 @@ def run_stack(cfgs, opt, seeds, compute_metrics: bool = True) -> Iterator[Trajec
             flat, vel, members = flat[keep], vel[keep], members[keep]
             L_star, history = L_star[keep], history[:, keep]
             ws.take(keep)
-            state = ModelState(*ws.blocks(flat))
 
 
 def iterations_to_epsilon(traj: Trajectory, eps: float):

@@ -1,10 +1,9 @@
 """Numerical witnesses for the variational machinery behind the closed form.
 
 Covers the nuclear-norm lower bound for balanced factorizations, the
-balanced SVD factorization that attains it, the self-duality of the
-classifier and the class-mean features at the minimizer, and the
-non-target equalization lemma of label smoothing.  CLAIMS holds the named
-checks that `ufmlab check` runs and the acceptance suite tests.
+balanced SVD factorization that attains it, and the self-duality of the
+classifier and the class-mean features at the minimizer.  CLAIMS holds the
+named checks that `ufmlab check` runs and the acceptance suite tests.
 """
 
 from __future__ import annotations
@@ -16,10 +15,6 @@ from .closed_form import global_minimizer
 from .config import OptimizerConfig, ProblemConfig
 from .core import gradient_norm
 from .nc_metrics import centered, class_means
-
-# Stand-in for an infinite cross-entropy term (exact zero probability
-# against a positive target).
-SATURATION_VALUE = 1e30
 
 
 def nuclear_norm(Z: np.ndarray) -> float:
@@ -61,38 +56,6 @@ def logit_spread(Z: np.ndarray, K: int, n: int) -> float:
     """Max over classes of the within-class spread of logit columns."""
     cols = Z.reshape(Z.shape[0], K, n)  # column k*n + i is sample i of class k
     return float(np.abs(cols - cols.mean(axis=2, keepdims=True)).max())
-
-
-def ls_equalization_gap(p: np.ndarray, target: int, delta: float, with_flag: bool = False):
-    """Excess smoothed-label loss of p over its non-target-equalized version.
-
-    The comparison point keeps p[target] and spreads the remaining mass
-    uniformly over the other classes; by Jensen the gap is nonnegative and
-    vanishes exactly when the non-target entries are already equal.  Every
-    smoothed target is positive, so a zero probability saturates its loss at
-    SATURATION_VALUE and sets the flag.
-    """
-    p = np.asarray(p, dtype=float)
-    K = p.shape[0]
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
-    if not (0 <= target < K):
-        raise ValueError(f"target {target} out of range for K={K}")
-    if abs(p.sum() - 1.0) > 1e-9 or np.any(p < -1e-12):
-        raise ValueError("p must be a probability vector")
-
-    # not (1 - p[target]) / (K - 1), which rounds to 0 for a tiny non-target mass
-    p_eq = np.full(K, np.delete(p, target).mean())
-    p_eq[target] = p[target]
-    t = np.full(K, delta / K)
-    t[target] += 1.0 - delta
-
-    def loss(q):
-        return SATURATION_VALUE if np.any(q <= 0.0) else float(-(t * np.log(q)).sum())
-
-    gap = loss(p) - loss(p_eq)
-    flag = bool(np.any(p <= 0.0) or np.any(p_eq <= 0.0))
-    return (gap, flag) if with_flag else gap
 
 
 # Claims: claim(seed, perturb) -> (ok, detail).  Each seeds its own generator.

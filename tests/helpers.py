@@ -1,5 +1,7 @@
 """Shared independent oracles for the test suite."""
 
+import math
+
 import numpy as np
 
 from ufmlab.closed_form import global_minimizer, optimal_loss
@@ -85,7 +87,28 @@ def dense_classifier_hessian(state: ModelState, cfg: ProblemConfig, f=lambda x: 
 
 def reference_loss_and_grad(state: ModelState, cfg: ProblemConfig):
     """The one-problem kernel written with fresh temporaries: the arithmetic,
-    in the same order, that core.loss_and_grad does in place on a stack."""
+    in the same order, that core.loss_and_grad does in place on a flat stack
+    (cross-entropy as mean log s - <Y/N, S>, weight decay as 1/2 <lambda theta, theta>)."""
+    N = cfg.N
+    Yn = smooth_labels(one_hot_labels(cfg.K, cfg.n), cfg.delta) / N
+    Z = state.W.T @ state.H + state.b[:, None]
+    S = Z - Z.max(axis=0, keepdims=True)
+    e = np.exp(S)
+    s = e.sum(axis=0)
+    decay = [lam * x for lam, x in zip((cfg.lambda_w, cfg.lambda_h, cfg.lambda_b),
+                                       (state.W, state.H, state.b))]
+    t = np.concatenate([x.ravel() for x in decay])
+    loss = np.log(s).sum() / N - np.dot(Yn.ravel(), S.ravel()) + 0.5 * np.dot(t, pack(state))
+    dZ = e * ((1.0 / N) / s) - Yn
+    G_W = state.H @ dZ.T + decay[0]
+    G_H = state.W @ dZ + decay[1]
+    g_b = dZ.sum(axis=1) + decay[2]
+    return float(loss), (G_W, G_H, g_b)
+
+
+def product_form_loss_and_grad(state: ModelState, cfg: ProblemConfig):
+    """The loss as sum(Y * -(Z - max - log s)) / N plus three squared norms, and
+    dL/dZ as (softmax - Y) / N: the textbook form, for the rounding comparison."""
     Yd = smooth_labels(one_hot_labels(cfg.K, cfg.n), cfg.delta)
     Z = state.W.T @ state.H + state.b[:, None]
     shifted = Z - Z.max(axis=0, keepdims=True)
@@ -151,3 +174,68 @@ def reference_nc1(H: np.ndarray, labels: np.ndarray, K: int):
     ratio = np.trace(Sigma_W @ np.linalg.pinv(Sigma_B, rcond=PINV_RCOND),
                      axis1=-2, axis2=-1) / K
     return np.where(scale_B == 0.0, np.where(scale_W == 0.0, 0.0, NC1_UNDEFINED), ratio)[()]
+
+
+def solve_logit_scale_by_bisection(cfg: ProblemConfig, tol: float = 1e-14) -> float:
+    """Independent check of logit_scale via the scalar optimality equation.
+
+    Solves K / (K - 1 + e^{aK}) - delta = sqrt(NK) * lambda_z for a >= 0
+    by bisection; returns 0 when no positive root exists.
+    """
+    K = cfg.K
+    rhs = math.sqrt(cfg.N * K) * cfg.lambda_z
+
+    def f(a):
+        return K / (K - 1.0 + math.exp(a * K)) - cfg.delta - rhs
+
+    if f(0.0) <= 0.0:
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while f(hi) > 0.0:
+        hi *= 2.0
+        if hi > 1e6:
+            raise RuntimeError("bisection bracket failed")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+# Stand-in for an infinite cross-entropy term (exact zero probability
+# against a positive target).
+SATURATION_VALUE = 1e30
+
+
+def ls_equalization_gap(p: np.ndarray, target: int, delta: float, with_flag: bool = False):
+    """Excess smoothed-label loss of p over its non-target-equalized version.
+
+    The comparison point keeps p[target] and spreads the remaining mass
+    uniformly over the other classes; by Jensen the gap is nonnegative and
+    vanishes exactly when the non-target entries are already equal.  Every
+    smoothed target is positive, so a zero probability saturates its loss at
+    SATURATION_VALUE and sets the flag.
+    """
+    p = np.asarray(p, dtype=float)
+    K = p.shape[0]
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    if not (0 <= target < K):
+        raise ValueError(f"target {target} out of range for K={K}")
+    if abs(p.sum() - 1.0) > 1e-9 or np.any(p < -1e-12):
+        raise ValueError("p must be a probability vector")
+
+    # not (1 - p[target]) / (K - 1), which rounds to 0 for a tiny non-target mass
+    p_eq = np.full(K, np.delete(p, target).mean())
+    p_eq[target] = p[target]
+    t = np.full(K, delta / K)
+    t[target] += 1.0 - delta
+
+    def loss(q):
+        return SATURATION_VALUE if np.any(q <= 0.0) else float(-(t * np.log(q)).sum())
+
+    gap = loss(p) - loss(p_eq)
+    flag = bool(np.any(p <= 0.0) or np.any(p_eq <= 0.0))
+    return (gap, flag) if with_flag else gap

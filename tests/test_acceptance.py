@@ -13,7 +13,6 @@ from ufmlab.closed_form import (
     global_minimizer,
     logit_scale,
     mean_logit_matrix,
-    solve_logit_scale_by_bisection,
 )
 from ufmlab.core import gradient_norm, loss_and_grad, softmax_cols
 from ufmlab.descent import iterations_to_epsilon, run
@@ -27,7 +26,7 @@ from ufmlab.spectral import (
 )
 from ufmlab.theory import CLAIMS
 
-from helpers import CONFIG_GRID, fd_gradient, random_state
+from helpers import CONFIG_GRID, fd_gradient, random_state, solve_logit_scale_by_bisection
 
 
 def report(num, ok, msg):
@@ -216,7 +215,7 @@ def test_criterion_10_calibration_oracles():
 
     ds = LogitDataset(4.0 * rng.standard_normal((4, 300)),
                       rng.integers(0, 4, size=300))
-    T, _, _, _ = fit_temperature(ds)
+    T, _, _, _ = fit_temperature(ds, nll(ds, 1.0))
     grid = np.exp(np.linspace(math.log(0.05), math.log(20.0), 2000))
     T_grid = grid[int(np.argmin([nll(ds, t) for t in grid]))]
     resolution = math.log(20.0 / 0.05) / 1999

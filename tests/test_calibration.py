@@ -143,23 +143,24 @@ class TestTemperature:
         P = softmax_cols(logits)
         labels = np.array([rng.choice(4, p=P[:, j]) for j in range(300)])
         ds = LogitDataset(logits, labels)
-        T1, _, _, _ = fit_temperature(ds)
+        T1, _, _, _ = fit_temperature(ds, nll(ds, 1.0))
         c = 2.5
-        T2, _, _, _ = fit_temperature(LogitDataset(c * ds.logits, ds.labels))
+        scaled = LogitDataset(c * ds.logits, ds.labels)
+        T2, _, _, _ = fit_temperature(scaled, nll(scaled, 1.0))
         assert 0.05 < c * T1 < 20.0
         assert T2 == pytest.approx(c * T1, rel=1e-3)
 
     def test_fitted_beats_identity(self):
         rng = np.random.default_rng(6)
         ds = random_dataset(rng, sharpness=5.0)
-        T, before, after, flag = fit_temperature(ds)
+        T, before, after, flag = fit_temperature(ds, nll(ds, 1.0))
         assert flag is None
         assert after <= before + 1e-12
 
     def test_matches_grid_search(self):
         rng = np.random.default_rng(7)
         ds = random_dataset(rng, sharpness=4.0)
-        T, _, _, _ = fit_temperature(ds)
+        T, _, _, _ = fit_temperature(ds, nll(ds, 1.0))
         grid = np.exp(np.linspace(math.log(0.05), math.log(20.0), 2000))
         nlls = [nll(ds, t) for t in grid]
         T_grid = grid[int(np.argmin(nlls))]
@@ -168,13 +169,13 @@ class TestTemperature:
 
     def test_degenerate_logits_flagged(self):
         ds = LogitDataset(np.ones((3, 5)), np.zeros(5, dtype=int))
-        T, before, after, flag = fit_temperature(ds)
+        T, before, after, flag = fit_temperature(ds, nll(ds, 1.0))
         assert T == 1.0 and flag == "degenerate" and before == after
 
     def test_accuracy_preserved(self):
         rng = np.random.default_rng(8)
         ds = random_dataset(rng)
-        T, _, _, _ = fit_temperature(ds)
+        T, _, _, _ = fit_temperature(ds, nll(ds, 1.0))
         pred_before = softmax_cols(ds.logits).argmax(axis=0)
         pred_after = softmax_cols(ds.logits / T).argmax(axis=0)
         assert np.array_equal(pred_before, pred_after)
@@ -186,7 +187,7 @@ class TestTemperature:
         for _ in range(trials):
             ds = random_dataset(rng, K=3, M=400, sharpness=6.0)
             before = ece(ds, bins=15).ece
-            T, _, _, _ = fit_temperature(ds)
+            T, _, _, _ = fit_temperature(ds, nll(ds, 1.0))
             after = ece(LogitDataset(ds.logits / T, ds.labels), bins=15).ece
             improved += after <= before + 1e-12
         assert improved >= 0.9 * trials
@@ -225,13 +226,23 @@ class TestReport:
         ds = random_dataset(np.random.default_rng(12), M=300, sharpness=sharpness)
         calls = []
         monkeypatch.setattr(calibration, "nll", lambda *a: calls.append(a) or nll(*a))
-        T, before, after, flag = fit_temperature(ds)
+        T, before, after, flag = fit_temperature(ds, nll(ds, 1.0))
         fit_calls = len(calls)
         report = calibration_report(ds, bins=20, fit_T=True)
         assert len(calls) == 2 * fit_calls
         assert (report.temperature, report.temperature_flag) == (T, flag)
         assert report.nll_before == before == nll(ds, 1.0)
         assert report.nll_after == after == nll(ds, T)
+
+    @pytest.mark.parametrize("holdout", [0.0, 0.2])
+    def test_nll_at_one_comes_from_the_ece_pass(self, monkeypatch, holdout):
+        ds = random_dataset(np.random.default_rng(13), M=300, sharpness=4.0)
+        calls = []
+        monkeypatch.setattr(calibration, "nll", lambda *a: calls.append((a[0].M, a[1])) or nll(*a))
+        report = calibration_report(ds, bins=20, fit_T=True, holdout_fraction=holdout, seed=1)
+        assert (ds.M, 1.0) not in calls
+        assert report.nll_before == nll(ds, 1.0)
+        assert calibration_report(ds, bins=20).nll_before is None
 
 
 class TestBoundary:
@@ -296,6 +307,8 @@ class TestShiftedKernels:
             entropy.append(-math.fsum(q * math.log(q) for q in p if q > 0.0))
         report = ece(ds, bins)
         assert report.accuracy == sum(correct) / ds.M
+        # exp(S / 1.0) is exp(S): the NLL at T = 1 from ece's pass is nll's bit for bit.
+        assert report.nll_before == nll(ds, 1.0)
         assert report.mean_entropy == pytest.approx(math.fsum(entropy) / ds.M,
                                                     rel=1e-9, abs=1e-12)
         # A confidence within the tolerance tol of an inner bin edge may land on

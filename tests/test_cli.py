@@ -93,6 +93,17 @@ class TestOptimize:
         assert not (tmp_path / "o" / "optimize.json").exists()
 
 
+    @pytest.mark.parametrize("command", ["optimize", "race"])
+    @pytest.mark.parametrize("delta, degenerate", [(0.1, False), (0.98, True)])
+    def test_degenerate_flag(self, tmp_path, command, delta, degenerate):
+        # At delta = 0.98, sqrt(KN) lambda_z + delta >= 1: the logit scale is 0.
+        cfg = write_config(tmp_path / "c.yaml", dict(REF_PROBLEM, delta=delta),
+                           dict(REF_OPTIMIZER, max_iters=2000))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        report = json.loads((tmp_path / "o" / f"{command}.json").read_text())
+        assert report["degenerate"] is degenerate
+
+
 class TestSpectrum:
     def test_report_contents(self, tmp_path):
         cfg = write_config(tmp_path / "c.yaml", REF_PROBLEM)

@@ -17,12 +17,16 @@ from ufmlab.closed_form import (
     minimizer_scales,
     optimal_loss,
     simplex_etf_core,
-    solve_logit_scale_by_bisection,
 )
 from ufmlab.core import gradient_norm, loss_and_grad, softmax_cols
 from ufmlab.nc_metrics import centered, class_means
 
-from helpers import CONFIG_GRID as GRID, random_state, rotated_minimizer
+from helpers import (
+    CONFIG_GRID as GRID,
+    random_state,
+    rotated_minimizer,
+    solve_logit_scale_by_bisection,
+)
 
 
 def minimizer_class_means(cfg: ProblemConfig) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,9 +8,16 @@ from hypothesis import strategies as st
 
 from ufmlab.config import ProblemConfig, one_hot_labels, smooth_labels
 from ufmlab.core import ModelState, Workspace, loss_and_grad, softmax_cols
-from ufmlab.theory import SATURATION_VALUE, ls_equalization_gap
-
-from helpers import CONFIG_GRID, fd_gradient, pack, random_state, reference_loss_and_grad
+from helpers import (
+    CONFIG_GRID,
+    SATURATION_VALUE,
+    fd_gradient,
+    ls_equalization_gap,
+    pack,
+    product_form_loss_and_grad,
+    random_state,
+    reference_loss_and_grad,
+)
 
 
 class TestSoftmax:
@@ -151,10 +159,9 @@ class TestGradient:
             assert rel < 1e-6
 
 
-def stacked(states, ws):
-    """The states as views of one flat B x P array, the layout descent runs on."""
-    flat = np.stack([pack(s) for s in states])
-    return ModelState(*ws.blocks(flat))
+def stacked(states):
+    """The states as one flat B x P array, the layout descent runs on."""
+    return np.stack([pack(s) for s in states])
 
 
 class TestStackedKernel:
@@ -167,6 +174,35 @@ class TestStackedKernel:
             assert type(loss) is float and loss == ref_loss
             assert all(np.array_equal(g, r) for g, r in zip(grads, ref_grads))
 
+    @pytest.mark.parametrize("logit_max", [None, 50.0])
+    def test_within_rounding_of_the_product_form(self, logit_max):
+        # The bound was fixed before the forms were compared.  Both forms add
+        # the same nonnegative terms (at most K N + P of them) in different
+        # orders, so their losses differ by at most 2 (K N + P + 8) eps L.  Each
+        # dL/dZ entry rounds a few times, within 6 eps (p + y) / N, and each
+        # gradient entry sums at most N + K products: c eps times the sum of the
+        # magnitudes it adds, with c = 2 (N + K + 8).
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(6)
+        cfgs = CONFIG_GRID + [replace(c, delta=0.98) for c in CONFIG_GRID[::4]]
+        for cfg in cfgs:
+            state = random_state(cfg, rng)
+            if logit_max is not None:  # logits scaled so that the largest is logit_max
+                f = logit_max / np.abs(state.logits()).max()
+                state = ModelState(np.sqrt(f) * state.W, np.sqrt(f) * state.H, f * state.b)
+            loss, grads = loss_and_grad(state, cfg)
+            ref_loss, ref_grads = product_form_loss_and_grad(state, cfg)
+            K, N = cfg.K, cfg.N
+            P = cfg.d * (K + N) + K
+            assert abs(loss - ref_loss) <= 2 * (K * N + P + 8) * eps * ref_loss
+            M = (softmax_cols(state.logits()) + one_hot_labels(K, cfg.n)) / N
+            W, H, b = np.abs(state.W), np.abs(state.H), np.abs(state.b)
+            scales = (H @ M.T + cfg.lambda_w * W, W @ M + cfg.lambda_h * H,
+                      M.sum(axis=1) + cfg.lambda_b * b)
+            c = 2 * (N + K + 8)
+            for g, ref, scale in zip(grads, ref_grads, scales):
+                assert np.all(np.abs(g - ref) <= c * eps * scale)
+
     def test_each_member_equals_its_own_pass(self):
         rng = np.random.default_rng(4)
         cfgs = [ProblemConfig(K=4, n=3, d=6, delta=delta, lambda_w=lam, lambda_h=2 * lam,
@@ -174,7 +210,7 @@ class TestStackedKernel:
                 for delta in (0.0, 0.1, 0.5) for lam in (1e-3, 5e-2)]
         states = [random_state(c, rng, scale=float(rng.uniform(0.1, 3))) for c in cfgs]
         ws = Workspace(cfgs)
-        loss, grads = loss_and_grad(stacked(states, ws), ws)
+        loss, grads = loss_and_grad(stacked(states), ws)
         assert loss.shape == (len(cfgs),) and grads[1].shape == (len(cfgs), 6, 12)
         for i, (state, cfg) in enumerate(zip(states, cfgs)):
             one_loss, one_grads = loss_and_grad(state, cfg)
@@ -186,10 +222,10 @@ class TestStackedKernel:
         cfgs = [ProblemConfig(K=3, n=2, d=4, delta=delta) for delta in (0.0, 0.2, 0.4, 0.6)]
         states = [random_state(c, rng) for c in cfgs]
         ws = Workspace(cfgs)
-        loss_and_grad(stacked(states, ws), ws)
+        loss_and_grad(stacked(states), ws)
         keep = np.array([False, True, False, True])
         ws.take(keep)
-        loss, grads = loss_and_grad(stacked([states[1], states[3]], ws), ws)
+        loss, grads = loss_and_grad(stacked([states[1], states[3]]), ws)
         for i, j in enumerate((1, 3)):
             one_loss, one_grads = loss_and_grad(states[j], cfgs[j])
             assert loss[i] == one_loss
@@ -197,11 +233,11 @@ class TestStackedKernel:
 
     def test_workspace_targets_follow_each_members_delta(self):
         cfgs = [ProblemConfig(K=3, n=2, d=4, delta=delta) for delta in (0.1, 0.2, 0.1)]
-        targets = Workspace(cfgs).targets
+        targets = Workspace(cfgs).targets_n
         assert targets.shape == (3, 3, 6)
         for t, cfg in zip(targets, cfgs):
-            assert np.array_equal(t, smooth_labels(one_hot_labels(3, 2), cfg.delta))
-        assert targets[1, 0, 0] == pytest.approx(0.8 + 0.2 / 3)
+            assert np.array_equal(t, smooth_labels(one_hot_labels(3, 2), cfg.delta) / 6)
+        assert targets[1, 0, 0] == pytest.approx((0.8 + 0.2 / 3) / 6)
 
     def test_blocks_are_views(self):
         cfg = ProblemConfig(K=3, n=2, d=4)

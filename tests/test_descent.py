@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -216,7 +217,7 @@ class TestRunStack:
         calls = []
 
         def counted(*args):
-            calls.append(len(args[0].W))
+            calls.append(len(args[0]))
             return core.loss_and_grad(*args)
 
         monkeypatch.setattr(descent, "loss_and_grad", counted)
@@ -248,6 +249,30 @@ class TestRunStack:
         for c, traj in zip(cfgs, trajs):
             assert_same_trajectory(traj, run(c, opt))
 
+    def test_iterations_allocate_no_k_by_n_array(self, monkeypatch):
+        # Mid rung: 200 iterations after a warm-up, no record step among them.
+        cfg = ProblemConfig(K=10, n=100, d=64, delta=0.1)
+        opt = replace(REF_OPT, loss_tol=1e-300, max_iters=300, record_every=1000)
+        start, window, seen = 20, 200, {}
+
+        def traced(flat, ws):
+            calls = seen["calls"] = seen.get("calls", 0) + 1
+            if calls == start:
+                tracemalloc.reset_peak()
+                seen["base"] = tracemalloc.get_traced_memory()[0]
+            elif calls == start + window:
+                seen["peak"] = tracemalloc.get_traced_memory()[1]
+            return core.loss_and_grad(flat, ws)
+
+        monkeypatch.setattr(descent, "loss_and_grad", traced)
+        tracemalloc.start()
+        try:
+            traj = next(run_stack([cfg], opt, [0], compute_metrics=False))
+        finally:
+            tracemalloc.stop()
+        assert traj.rows[-1].iter == opt.max_iters
+        assert seen["peak"] - seen["base"] < cfg.K * cfg.N * 8
+
     def test_diverging_member_is_named(self):
         # lr * lambda far above the heavy-ball stability bound 2 (1 + momentum).
         bad = replace(REF_CFG, delta=0.3, lambda_w=20.0, lambda_h=20.0)
@@ -273,9 +298,9 @@ class TestRunStack:
         monkeypatch.setattr(descent, "STACK_BYTES", 5 * 1680)
         widths = []
 
-        def counted(state, ws):
-            widths.append(len(state.W))
-            return core.loss_and_grad(state, ws)
+        def counted(flat, ws):
+            widths.append(len(flat))
+            return core.loss_and_grad(flat, ws)
 
         monkeypatch.setattr(descent, "loss_and_grad", counted)
         for got, want in zip(run_stack(cfgs, self.OPT, seeds), whole):

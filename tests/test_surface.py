@@ -15,14 +15,6 @@ import ufmlab
 
 SRC = Path(ufmlab.__file__).parent
 
-# Oracles kept in src for the tests to compare against.
-ORACLES = {
-    # independent bisection check of the closed-form logit_scale
-    "closed_form.solve_logit_scale_by_bisection",
-    # the non-target equalization lemma, checked numerically by the tests
-    "theory.ls_equalization_gap",
-}
-
 
 def _references(node) -> Counter:
     names = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
@@ -49,4 +41,4 @@ def test_every_public_name_has_a_caller_in_src():
         for name, fn in _public_defs(tree)
         if used[fn.name] - _references(fn)[fn.name] <= 0
     )
-    assert unused == sorted(ORACLES)
+    assert unused == []
