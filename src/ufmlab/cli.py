@@ -3,8 +3,8 @@
 Subcommands: solve, optimize, spectrum, sweep, race, calibrate, check.
 Configs are YAML trees; matrices are headerless CSV (one row per line);
 label files hold one 1-based class index per line; reports are JSON.
-Exit codes: 0 success, 1 failed checks, 2 config/validation error,
-3 numerical failure.
+Exit codes: 0 success, 1 failed checks, 2 config or input error (ConfigError),
+3 numerical failure (DivergenceError or any other ValueError, LinAlgError included).
 """
 
 from __future__ import annotations
@@ -224,23 +224,17 @@ def cmd_optimize(args) -> int:
 
 
 def _spectrum_dict(report: spectral.SpectrumReport) -> dict:
-    return {
-        "eigenpairs": [
-            {"value": v, "multiplicity": m} for v, m in sorted(report.eigenpairs)
-        ],
-        "condition_number": report.condition_number,
-        "source": report.source,
-        "degenerate": report.degenerate,
-        "notes": report.notes,
-    }
+    pairs = [{"value": v, "multiplicity": m} for v, m in sorted(report.eigenpairs)]
+    return {**asdict(report), "eigenpairs": pairs}
 
 
 def _hessian_section(analytic: spectral.SpectrumReport, vals: np.ndarray) -> dict:
-    """Analytic and numeric spectra of one Hessian from its ascending eigenvalues."""
-    dev, mults = spectral.compare_to_analytic(analytic, vals)
+    """Analytic and numeric spectra of one Hessian from its eigenvalues."""
+    numeric = spectral.numeric_spectrum(vals)
+    dev, mults = spectral.compare_to_analytic(analytic, numeric)
     return {
         "analytic": _spectrum_dict(analytic),
-        "numeric": _spectrum_dict(spectral.numeric_spectrum(vals)),
+        "numeric": _spectrum_dict(numeric),
         "max_relative_deviation": dev,
         "multiplicities_match": mults,
     }
@@ -406,10 +400,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # ConfigError included
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DivergenceError as exc:
+    except (DivergenceError, ValueError) as exc:  # np.linalg.LinAlgError is a ValueError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

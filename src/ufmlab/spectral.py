@@ -21,17 +21,35 @@ from .core import ModelState, softmax_cols
 CLUSTER_REL_GAP = 1e-8
 # Eigenvalues at or below this fraction of lambda_max count as zero.
 ZERO_CUTOFF = 1e-10
+# The note of a degenerate report, by its count of nonzero eigenvalues.
+DEGENERATE_NOTES = (
+    "zero logit scale: all eigenvalues vanish",
+    "K=2: single nonzero eigenvalue, condition number trivially 1",
+)
 
 
 @dataclass
 class SpectrumReport:
-    """Eigenvalues with multiplicities, plus the condition number."""
+    """Eigenvalues with multiplicities, and what they say about conditioning.
+
+    The eigenvalues above ZERO_CUTOFF * lambda_max are the nonzero ones; the
+    condition number is lambda_max over the smallest of them (NaN when there
+    is none), and the report is degenerate when fewer than two distinct
+    eigenvalues are nonzero.
+    """
 
     eigenpairs: list[tuple[float, int]]
-    condition_number: float
     source: str
-    degenerate: bool = False
-    notes: list[str] = field(default_factory=list)
+    condition_number: float = field(init=False)
+    degenerate: bool = field(init=False)
+    notes: list[str] = field(init=False)
+
+    def __post_init__(self):
+        lam_max = max(v for v, _ in self.eigenpairs)
+        nonzero = [v for v, _ in self.eigenpairs if v > ZERO_CUTOFF * lam_max]
+        self.condition_number = lam_max / min(nonzero) if nonzero else math.nan
+        self.degenerate = len(nonzero) < 2
+        self.notes = [DEGENERATE_NOTES[len(nonzero)]] if self.degenerate else []
 
 
 def probability_laplacian(p: np.ndarray) -> np.ndarray:
@@ -51,16 +69,6 @@ def probability_laplacian(p: np.ndarray) -> np.ndarray:
     return D
 
 
-def condition_number(eigenvalues) -> float:
-    """lambda_max / lambda_min over eigenvalues above ZERO_CUTOFF * lambda_max."""
-    vals = np.sort(np.asarray(eigenvalues, dtype=float))
-    lam_max = vals[-1]
-    if lam_max <= 0.0:
-        raise ValueError("all-zero spectrum has no condition number")
-    nonzero = vals[vals > ZERO_CUTOFF * lam_max]
-    return float(lam_max / nonzero[0])
-
-
 def analytic_feature_hessian_spectrum(cfg: ProblemConfig) -> SpectrumReport:
     """Spectrum of one per-sample feature block (1/N) W D W^T (d x d)."""
     p_t, p_n = class_probabilities(cfg)
@@ -71,19 +79,7 @@ def analytic_feature_hessian_spectrum(cfg: ProblemConfig) -> SpectrumReport:
     if K > 2:
         pairs.append((s2 * p_n / N, K - 2))
     pairs.append((s2 * K * p_t * p_n / N, 1))
-    notes = []
-    degenerate = False
-    if s2 == 0.0:
-        kappa = math.nan
-        degenerate = True
-        notes.append("zero logit scale: all eigenvalues vanish")
-    elif K == 2:
-        kappa = 1.0
-        degenerate = True
-        notes.append("K=2: single nonzero eigenvalue, condition number trivially 1")
-    else:
-        kappa = K * p_t
-    return SpectrumReport(pairs, kappa, "analytic", degenerate, notes)
+    return SpectrumReport(pairs, "analytic")
 
 
 def analytic_classifier_hessian_spectrum(cfg: ProblemConfig) -> SpectrumReport:
@@ -100,15 +96,7 @@ def analytic_classifier_hessian_spectrum(cfg: ProblemConfig) -> SpectrumReport:
         (c * lam_mid, K - 1),
         (c * K * p_n * p_t, 1),
     ]
-    notes = []
-    degenerate = False
-    if c == 0.0:
-        kappa = math.nan
-        degenerate = True
-        notes.append("zero logit scale: all eigenvalues vanish")
-    else:
-        kappa = K * p_t
-    return SpectrumReport(pairs, kappa, "analytic", degenerate, notes)
+    return SpectrumReport(pairs, "analytic")
 
 
 def numeric_hessian_features(state: ModelState, cfg: ProblemConfig) -> np.ndarray:
@@ -165,41 +153,22 @@ def cluster_eigenvalues(values: np.ndarray) -> list[tuple[float, int]]:
     return [(float(m), int(c)) for m, c in zip(means, counts)]
 
 
-def compare_to_analytic(
-    analytic: SpectrumReport, numeric_values: np.ndarray
-) -> tuple[float, bool]:
-    """Cluster numeric eigenvalues and match them against the analytic pairs.
+def compare_to_analytic(analytic: SpectrumReport, numeric: SpectrumReport) -> tuple[float, bool]:
+    """Match the numeric report's clusters against the analytic pairs.
 
     Returns (max relative deviation, multiplicities matched).  Deviation
     for a zero analytic eigenvalue is measured relative to lambda_max.
     """
-    clusters = cluster_eigenvalues(numeric_values)
+    clusters = numeric.eigenpairs
     pairs = sorted(analytic.eigenpairs)
     lam_max = max(abs(v) for v, _ in pairs)
     if lam_max == 0.0:
-        lam_max = max(abs(np.asarray(numeric_values)).max(), 1.0)
-    mults_ok = len(clusters) == len(pairs) and all(
-        c[1] == p[1] for c, p in zip(clusters, pairs)
-    )
-    max_dev = 0.0
-    for (num_val, _), (ana_val, _) in zip(clusters, pairs):
-        if ana_val == 0.0:
-            dev = abs(num_val) / lam_max
-        else:
-            dev = abs(num_val - ana_val) / abs(ana_val)
-        max_dev = max(max_dev, dev)
-    return max_dev, mults_ok
+        lam_max = max(max(abs(v) for v, _ in clusters), 1.0)
+    devs = [abs(num) / lam_max if ana == 0.0 else abs(num - ana) / abs(ana)
+            for (num, _), (ana, _) in zip(clusters, pairs)]
+    return max(devs, default=0.0), [m for _, m in clusters] == [m for _, m in pairs]
 
 
 def numeric_spectrum(vals: np.ndarray) -> SpectrumReport:
-    """Numeric report from ascending eigenvalues of an assembled Hessian.
-
-    The report is flagged degenerate when fewer than two eigenvalue clusters
-    lie above ZERO_CUTOFF * lambda_max (all zero, or one nonzero value as in
-    a K = 2 feature block).
-    """
-    pairs = cluster_eigenvalues(vals)
-    lam_max = vals[-1]
-    kappa = math.nan if lam_max <= 0.0 else condition_number(vals)
-    nonzero = sum(v > ZERO_CUTOFF * lam_max for v, _ in pairs)
-    return SpectrumReport(pairs, kappa, "numeric", bool(nonzero < 2))
+    """Numeric report from the eigenvalues of an assembled Hessian."""
+    return SpectrumReport(cluster_eigenvalues(vals), "numeric")

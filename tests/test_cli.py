@@ -140,6 +140,28 @@ class TestSpectrum:
         assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         assert counts == {"numeric_hessian_features": 1, "numeric_hessian_classifier": 1}
 
+    def test_failed_eigensolve_exit_3(self, tmp_path, monkeypatch, capsys):
+        # LinAlgError subclasses ValueError, but a config that loaded is no config error
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        cfg = write_config(tmp_path / "c.yaml", REF_PROBLEM)
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert "numerical failure: Eigenvalues did not converge" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k, delta", [(2, 0.1), (3, 0.98)])
+    def test_degenerate_sections_agree(self, tmp_path, k, delta):
+        # K = 2 has one nonzero feature eigenvalue; at delta = 0.98 the logit scale is 0
+        cfg = write_config(tmp_path / "c.yaml", dict(REF_PROBLEM, k=k, delta=delta))
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        report = json.loads((tmp_path / "o" / "spectrum.json").read_text())
+        sections = [s for s in report.values() if isinstance(s, dict) and "analytic" in s]
+        assert len(sections) == (1 if k == 2 else 2)
+        for section in sections:
+            analytic, numeric = section["analytic"], section["numeric"]
+            assert analytic["degenerate"] is numeric["degenerate"] is True
+            assert analytic["notes"] == numeric["notes"] and len(numeric["notes"]) == 1
+
 
 class TestSweep:
     def test_csv_columns_and_monotone_scale(self, tmp_path):

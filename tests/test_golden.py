@@ -3,8 +3,9 @@
 Keys, CSV headers, strings and integers must match exactly; floats must
 agree within rel 1e-9 and abs 1e-12, so last-bit BLAS drift passes and any
 real change of behaviour fails.  After a deliberate change of output,
-rewrite the files with `PYTHONPATH=src python tests/test_golden.py` and
-review the diff.
+run `PYTHONPATH=src python tests/test_golden.py`: it rewrites only the
+files that are missing or fail the comparison, prints their names, and
+leaves the rest byte for byte; then review the diff.
 """
 
 import contextlib
@@ -13,6 +14,7 @@ import io
 import json
 import math
 import re
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -112,6 +114,11 @@ READERS = {
 }
 
 
+def assert_same_file(got: Path, want: Path, where: str):
+    read = READERS[want.suffix]
+    assert_same(read(got), read(want), where)
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_matches_golden(name, tmp_path):
     out = tmp_path / "out"
@@ -119,11 +126,20 @@ def test_matches_golden(name, tmp_path):
     want = sorted(p.name for p in (GOLDEN / name).iterdir())
     assert sorted(p.name for p in out.iterdir()) == want
     for filename in want:
-        read = READERS[Path(filename).suffix]
-        assert_same(read(out / filename), read(GOLDEN / name / filename), f"{name}/{filename}")
+        assert_same_file(out / filename, GOLDEN / name / filename, f"{name}/{filename}")
 
 
 if __name__ == "__main__":
+    # Replace only the golden files that are missing or no longer match.
     with tempfile.TemporaryDirectory() as tmp:
         for name in CASES:
-            run_case(name, Path(tmp), GOLDEN / name)
+            out = Path(tmp) / name
+            run_case(name, Path(tmp), out)
+            for got in sorted(out.iterdir()):
+                golden = GOLDEN / name / got.name
+                try:
+                    assert_same_file(got, golden, f"{name}/{got.name}")
+                except (AssertionError, FileNotFoundError):
+                    golden.parent.mkdir(parents=True, exist_ok=True)
+                    shutil.copyfile(got, golden)
+                    print(f"rewrote {golden}")

@@ -7,15 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ufmlab.config import ProblemConfig
-from ufmlab.closed_form import class_probabilities, global_minimizer
+from ufmlab.closed_form import class_probabilities, global_minimizer, logit_scale
 from ufmlab.core import ModelState
 from ufmlab.spectral import (
+    SpectrumReport,
     analytic_classifier_hessian_spectrum,
     analytic_feature_hessian_spectrum,
     classifier_eigenvalues,
     cluster_eigenvalues,
     compare_to_analytic,
-    condition_number,
     numeric_hessian_classifier,
     numeric_hessian_features,
     numeric_spectrum,
@@ -24,6 +24,9 @@ from ufmlab.spectral import (
 
 from helpers import (CONFIG_GRID, dense_classifier_hessian, phi_unregularized, random_state,
                      rotated_minimizer)
+
+# CONFIG_GRID plus delta = 0.98, where the logit scale is 0 at the larger sizes
+RULE_GRID = CONFIG_GRID + [replace(c, delta=0.98) for c in CONFIG_GRID if c.delta == 0.3]
 
 SPECTRUM_GRID = [
     ProblemConfig(K=K, n=n, d=d, delta=delta)
@@ -76,9 +79,11 @@ class TestProbabilityLaplacian:
             probability_laplacian(np.array([[0.5, np.nan], [0.5, 0.5]]))
 
 
-class TestConditionNumber:
+class TestSpectrumReport:
     def test_arithmetic(self):
-        assert condition_number([0.0, 2.0, 2.0, 6.0]) == pytest.approx(3.0)
+        report = SpectrumReport([(0.0, 1), (2.0, 2), (6.0, 1)], "numeric")
+        assert report.condition_number == pytest.approx(3.0)
+        assert report.degenerate is False and report.notes == []
 
     def test_analytic_feature_kappa_is_k_pt(self):
         cfg = ProblemConfig(K=4, n=3, d=6, delta=0.05)
@@ -86,11 +91,50 @@ class TestConditionNumber:
         report = analytic_feature_hessian_spectrum(cfg)
         assert report.condition_number == pytest.approx(4 * p_t, rel=1e-12)
         values, mults = zip(*report.eigenpairs)
-        assert condition_number(np.repeat(values, mults)) == pytest.approx(4 * p_t, rel=1e-9)
+        numeric = numeric_spectrum(np.repeat(values, mults))
+        assert numeric.condition_number == pytest.approx(4 * p_t, rel=1e-9)
 
-    def test_all_zero_rejected(self):
-        with pytest.raises(ValueError):
-            condition_number([0.0, 0.0])
+    def test_all_zero_is_degenerate(self):
+        report = SpectrumReport([(0.0, 2)], "numeric")
+        assert math.isnan(report.condition_number)
+        assert report.degenerate is True
+        assert report.notes == ["zero logit scale: all eigenvalues vanish"]
+
+    def test_single_nonzero_is_degenerate(self):
+        report = SpectrumReport([(0.0, 3), (1e-12, 1), (0.5, 2)], "analytic")
+        assert report.condition_number == 1.0
+        assert report.degenerate is True
+        assert report.notes == ["K=2: single nonzero eigenvalue, condition number trivially 1"]
+
+    def test_analytic_kappa_is_k_pt(self):
+        assert any(logit_scale(cfg) == 0.0 for cfg in RULE_GRID)
+        for cfg in RULE_GRID:
+            p_t, _ = class_probabilities(cfg)
+            reports = [analytic_feature_hessian_spectrum(cfg)]
+            if cfg.K >= 3:
+                reports.append(analytic_classifier_hessian_spectrum(cfg))
+            for report in reports:
+                if logit_scale(cfg) == 0.0:
+                    assert math.isnan(report.condition_number)
+                elif cfg.K == 2:
+                    assert report.condition_number == 1.0
+                else:
+                    assert report.condition_number == pytest.approx(cfg.K * p_t, rel=1e-12)
+
+    def test_numeric_report_agrees_with_analytic(self):
+        for cfg in RULE_GRID:
+            state = global_minimizer(cfg)
+            cases = [(analytic_feature_hessian_spectrum(cfg),
+                      np.linalg.eigvalsh(numeric_hessian_features(state, cfg)))]
+            if cfg.K >= 3:
+                cases.append((analytic_classifier_hessian_spectrum(cfg),
+                              classifier_eigenvalues(state, cfg)))
+            for analytic, vals in cases:
+                numeric = numeric_spectrum(vals)
+                assert numeric.degenerate is analytic.degenerate, cfg
+                assert numeric.notes == analytic.notes, cfg
+                assert numeric.condition_number == pytest.approx(
+                    analytic.condition_number, rel=1e-9, nan_ok=True), cfg
 
 
 class TestAnalyticSpectra:
@@ -151,7 +195,7 @@ class TestNumericHessians:
             state = global_minimizer(cfg)
             analytic = analytic_feature_hessian_spectrum(cfg)
             vals = np.linalg.eigvalsh(numeric_hessian_features(state, cfg))
-            dev, mults_ok = compare_to_analytic(analytic, vals)
+            dev, mults_ok = compare_to_analytic(analytic, numeric_spectrum(vals))
             assert dev < 1e-6 and mults_ok
 
     def test_numeric_matches_analytic_classifier(self):
@@ -161,7 +205,7 @@ class TestNumericHessians:
             state = global_minimizer(cfg)
             analytic = analytic_classifier_hessian_spectrum(cfg)
             vals = classifier_eigenvalues(state, cfg)
-            dev, mults_ok = compare_to_analytic(analytic, vals)
+            dev, mults_ok = compare_to_analytic(analytic, numeric_spectrum(vals))
             assert dev < 1e-6 and mults_ok
 
     def test_psd_at_optimum(self):
