@@ -20,8 +20,9 @@ T_SEARCH_TOL = 1e-4
 
 @dataclass
 class LogitDataset:
-    """Logit columns (K x M) with 0-based true labels; shifted is S = logits minus
-    each column's max (S <= 0, a 0 in each column), shifted_at_label is S[y_j, j]."""
+    """Finite float logit columns (K x M, M >= 1) with their 0-based integer labels
+    in [0, K), as cmd_calibrate checks them; shifted is S = logits minus each
+    column's max (S <= 0, a 0 in each column), shifted_at_label is S[y_j, j]."""
 
     logits: np.ndarray
     labels: np.ndarray
@@ -29,17 +30,6 @@ class LogitDataset:
     shifted_at_label: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.logits = np.asarray(self.logits, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=int)
-        if self.logits.ndim != 2 or self.logits.shape[1] < 1:
-            raise ValueError("logits must be a K x M matrix with M >= 1")
-        if self.labels.shape != (self.logits.shape[1],):
-            raise ValueError("labels must have one entry per logit column")
-        K = self.logits.shape[0]
-        if np.any(self.labels < 0) or np.any(self.labels >= K):
-            raise ValueError(f"labels must lie in [0, {K})")
-        if not np.isfinite(self.logits).all():
-            raise ValueError("logits contain non-finite entries")
         self.shifted = self.logits - self.logits.max(axis=0)
         self.shifted_at_label = self.shifted[self.labels, np.arange(self.M)]
 
@@ -78,8 +68,6 @@ class CalibrationReport:
 
 def reliability_bins(conf: np.ndarray, correct: np.ndarray, bins: int) -> list[Bin]:
     """Equal-width confidence bins on [0, 1]; last bin closed above."""
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
     idx = np.minimum((conf * bins).astype(int), bins - 1)
     counts, conf_sums, correct_sums = (np.bincount(idx, weights=w, minlength=bins)
                                        for w in (None, conf, correct))
@@ -129,11 +117,11 @@ def fit_temperature(ds: LogitDataset, nll_before: float):
     """Golden-section search for the NLL-minimizing temperature.
 
     nll_before is nll(ds, 1.0), which ece's pass over ds already gives.
-    Returns (T, nll_before, nll_after, flag); flag is set when the logits
+    Returns (T, nll_after, flag); flag is set when the logits
     carry no information (all columns constant), in which case T = 1.
     """
     if ds.shifted.min() > -1e-12:  # every logit within 1e-12 of its column's max
-        return 1.0, nll_before, nll_before, "degenerate"
+        return 1.0, nll_before, "degenerate"
 
     lo, hi = T_SEARCH_LOG_BOUNDS
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -154,8 +142,8 @@ def fit_temperature(ds: LogitDataset, nll_before: float):
     T = math.exp(0.5 * (a + b))
     nll_after = nll(ds, T)
     if nll_after > nll_before:  # boundary cases: keep the no-op temperature
-        return 1.0, nll_before, nll_before, "no_improvement"
-    return T, nll_before, nll_after, None
+        return 1.0, nll_before, "no_improvement"
+    return T, nll_after, None
 
 
 def calibration_report(
@@ -174,10 +162,10 @@ def calibration_report(
         rng = np.random.default_rng(seed)
         m_fit = max(1, int(round(holdout_fraction * ds.M)))
         fit = ds.subset(rng.permutation(ds.M)[:m_fit])
-        T, _, _, flag = fit_temperature(fit, nll(fit, 1.0))
+        T, _, flag = fit_temperature(fit, nll(fit, 1.0))
         after = nll(ds, T)
     else:  # the fit's own NLLs are on ds already
-        T, _, after, flag = fit_temperature(ds, report.nll_before)
+        T, after, flag = fit_temperature(ds, report.nll_before)
     report.temperature = T
     report.nll_after = after
     report.temperature_flag = flag

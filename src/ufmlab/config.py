@@ -19,8 +19,6 @@ def one_hot_labels(K: int, n: int) -> np.ndarray:
 
 def smooth_labels(Y: np.ndarray, delta: float) -> np.ndarray:
     """Smoothed targets (1 - delta) * Y + delta / K."""
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"delta must be in [0, 1], got {delta}")
     K = Y.shape[0]
     return (1.0 - delta) * Y + delta / K
 
@@ -65,11 +63,14 @@ class ProblemConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if self.lambda_z == 0.0:
-            raise ValueError(
-                f"lambda_w * lambda_h underflows to 0 (lambda_w={self.lambda_w}, "
-                f"lambda_h={self.lambda_h})"
-            )
+        # The minimizer's scales read these two; finite and nonzero, they keep it finite.
+        for name, value in (("lambda_w * lambda_h", self.lambda_w * self.lambda_h),
+                            ("n * lambda_h / lambda_w", self.n * self.lambda_h / self.lambda_w)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(
+                    f"{name} {'underflows to 0' if value == 0.0 else 'overflows'} "
+                    f"(lambda_w={self.lambda_w}, lambda_h={self.lambda_h})"
+                )
 
     @property
     def N(self) -> int:

@@ -28,15 +28,6 @@ class ModelState:
     def copy(self) -> "ModelState":
         return ModelState(self.W.copy(), self.H.copy(), self.b.copy())
 
-    def check_shapes(self, cfg: ProblemConfig):
-        d, K, N = cfg.d, cfg.K, cfg.N
-        if self.W.shape != (d, K):
-            raise ValueError(f"W has shape {self.W.shape}, expected {(d, K)}")
-        if self.H.shape != (d, N):
-            raise ValueError(f"H has shape {self.H.shape}, expected {(d, N)}")
-        if self.b.shape != (K,):
-            raise ValueError(f"b has shape {self.b.shape}, expected {(K,)}")
-
     def ravel(self) -> np.ndarray:
         """W, H and b raveled into one P-vector, in that order (P = dK + dN + K)."""
         return np.concatenate([self.W.ravel(), self.H.ravel(), self.b])
@@ -47,10 +38,7 @@ class ModelState:
 
 
 def softmax_cols(Z: np.ndarray) -> np.ndarray:
-    """Column-wise softmax with per-column max subtraction."""
-    Z = np.asarray(Z, dtype=float)
-    if not np.all(np.isfinite(Z)):
-        raise ValueError("softmax_cols: input contains non-finite entries")
+    """Column-wise softmax of finite logits, with per-column max subtraction."""
     e = np.exp(Z - Z.max(axis=0, keepdims=True))
     return e / e.sum(axis=0, keepdims=True)
 
@@ -156,7 +144,6 @@ def loss_and_grad(params, cfg):
     """
     if isinstance(cfg, Workspace):
         return _pass(params, cfg), cfg.G_blocks
-    params.check_shapes(cfg)
     ws = Workspace([cfg])
     loss = _pass(params.ravel()[None], ws)
     return float(loss[0]), tuple(g[0] for g in ws.G_blocks)

@@ -58,10 +58,6 @@ def probability_laplacian(p: np.ndarray) -> np.ndarray:
     A K x N matrix is read as N probability columns; the result is then
     K x K x N, with the Laplacian of column j in [:, :, j].
     """
-    p = np.asarray(p, dtype=float)
-    # written so that NaN fails it
-    if not (np.all(p >= 0) and np.all(np.abs(p.sum(axis=0) - 1.0) <= 1e-9)):
-        raise ValueError("p must be a probability vector")
     K = p.shape[0]
     D = np.zeros((K,) + p.shape)
     D[range(K), range(K)] = p
@@ -83,10 +79,12 @@ def analytic_feature_hessian_spectrum(cfg: ProblemConfig) -> SpectrumReport:
 
 
 def analytic_classifier_hessian_spectrum(cfg: ProblemConfig) -> SpectrumReport:
-    """Spectrum of the full classifier Hessian (Kd x Kd) at the minimizer."""
+    """Spectrum of the full classifier Hessian (Kd x Kd) at the minimizer, for K >= 3.
+
+    Its K = 2 form degenerates; both callers, cmd_spectrum and delta_sweep,
+    skip K = 2 before they call it.
+    """
     K, d = cfg.K, cfg.d
-    if K < 3:
-        raise ValueError("classifier spectrum requires K >= 3 (K=2 degenerates)")
     p_t, p_n = class_probabilities(cfg)
     c = K * minimizer_scales(cfg)[1] ** 2  # K c_h^2: the spectrum's prefactor
     lam_mid = (1.0 - p_t + p_n) * (p_n + (K - 1) * p_t) / K
@@ -101,7 +99,6 @@ def analytic_classifier_hessian_spectrum(cfg: ProblemConfig) -> SpectrumReport:
 
 def numeric_hessian_features(state: ModelState, cfg: ProblemConfig) -> np.ndarray:
     """The d x d block (1/N) W D W^T of the first sample (class 0)."""
-    state.check_shapes(cfg)
     D = probability_laplacian(softmax_cols(state.logits())[:, 0])
     return state.W @ D @ state.W.T / cfg.N
 
@@ -115,7 +112,6 @@ def numeric_hessian_classifier(state: ModelState, cfg: ProblemConfig) -> np.ndar
     kron(I, U_r) M kron(I, U_r)^T for the Kr x Kr block M built here from G.
     When r = d, G is H itself and M the full Kd x Kd Hessian; H = 0 gives 0 x 0.
     """
-    state.check_shapes(cfg)
     H = state.H
     D = probability_laplacian(softmax_cols(state.logits()))
     K, N = cfg.K, cfg.N

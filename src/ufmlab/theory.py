@@ -23,14 +23,12 @@ def nuclear_norm(Z: np.ndarray) -> float:
 
 
 def balanced_factorization(Z: np.ndarray, alpha: float):
-    """Factor Z = W^T H with the balance that attains the nuclear norm.
+    """Factor Z = W^T H with the balance (alpha > 0) that attains the nuclear norm.
 
     W = alpha^{1/4} S^{1/2} U^T and H = alpha^{-1/4} S^{1/2} V^T from the
     reduced SVD Z = U S V^T, so (||W||^2 + alpha ||H||^2) / (2 sqrt(alpha))
     equals ||Z||_*.
     """
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
     U, s, Vt = np.linalg.svd(Z, full_matrices=False)
     root = np.sqrt(s)[:, None]
     W = alpha**0.25 * (root * U.T)
@@ -39,9 +37,7 @@ def balanced_factorization(Z: np.ndarray, alpha: float):
 
 
 def factorization_gap(W: np.ndarray, H: np.ndarray, alpha: float) -> float:
-    """(||W||^2 + alpha ||H||^2) / (2 sqrt(alpha)) - ||W^T H||_*; always >= 0."""
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    """(||W||^2 + alpha ||H||^2) / (2 sqrt(alpha)) - ||W^T H||_* for alpha > 0; always >= 0."""
     bound = (np.sum(W**2) + alpha * np.sum(H**2)) / (2.0 * np.sqrt(alpha))
     return float(bound - nuclear_norm(W.T @ H))
 

@@ -216,7 +216,7 @@ def test_criterion_10_calibration_oracles():
 
     ds = LogitDataset(4.0 * rng.standard_normal((4, 300)),
                       rng.integers(0, 4, size=300))
-    T, _, _, _ = fit_temperature(ds, nll(ds, 1.0))
+    T, _, _ = fit_temperature(ds, nll(ds, 1.0))
     grid = np.exp(np.linspace(math.log(0.05), math.log(20.0), 2000))
     T_grid = grid[int(np.argmin([nll(ds, t) for t in grid]))]
     resolution = math.log(20.0 / 0.05) / 1999

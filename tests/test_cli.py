@@ -234,9 +234,24 @@ class TestConfigBoundary:
         assert "lambda_w" in capsys.readouterr().err
 
     def test_underflowing_lambdas_exit_2(self, tmp_path, capsys):
-        text = "problem: {k: 3, n: 2, d: 4, delta: 0.0, lambda_w: 1.0e-200, lambda_h: 1.0e-200}\n"
-        assert self.run_solve(tmp_path, text) == 2
-        assert "lambda_w * lambda_h" in capsys.readouterr().err
+        # Each pair leaves one of the minimizer's two lambda quantities 0 or inf.
+        cases = [
+            ("k: 3, n: 2, d: 4, delta: 0.0, lambda_w: 1.0e-200, lambda_h: 1.0e-200",
+             "lambda_w * lambda_h underflows to 0"),
+            ("k: 3, n: 2, d: 4, delta: 0.1, lambda_w: 5.0e-324, lambda_h: 1.0e+308",
+             "n * lambda_h / lambda_w overflows"),
+            ("k: 3, n: 2, d: 4, delta: 0.1, lambda_w: 1.0e+308, lambda_h: 5.0e-324",
+             "n * lambda_h / lambda_w underflows to 0"),
+            ("k: 4, n: 2, d: 6, delta: 0.25, lambda_w: 8.0e+281, lambda_h: 2.0e+261",
+             "lambda_w * lambda_h overflows"),
+        ]
+        path, out = tmp_path / "c.yaml", tmp_path / "o"
+        for command in ("solve", "spectrum"):
+            for problem, message in cases:
+                path.write_text(f"problem: {{{problem}}}\n")
+                assert main([command, "--config", str(path), "--out", str(out)]) == 2
+                assert message in capsys.readouterr().err
+                assert not out.exists()
 
     def test_yaml11_exponent_floats(self, tmp_path):
         # YAML 1.1 reads 5e-1 and 5e4 (no dot) as strings

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ufmlab.config import ProblemConfig
@@ -233,6 +233,26 @@ def problem_configs(draw):
 
 
 class TestConfigSpace:
+    @given(st.integers(2, 12), st.integers(1, 8), st.integers(0, 6), st.floats(0.0, 0.99),
+           st.floats(-323.3, 308.2), st.floats(-323.3, 308.2))
+    @settings(max_examples=300, deadline=None)
+    def test_every_constructible_config_has_a_finite_optimum(self, K, n, extra_d, delta,
+                                                              log_w, log_h):
+        # lambda_w and lambda_h log-uniform across the float range; the config
+        # boundary must reject every pair whose optimum is not finite.
+        try:
+            cfg = ProblemConfig(K=K, n=n, d=K + extra_d, delta=delta,
+                                lambda_w=10.0**log_w, lambda_h=10.0**log_h)
+        except ValueError:
+            assume(False)
+        state = global_minimizer(cfg)
+        Z = state.logits()
+        for value in (state.W, state.H, state.b, Z, minimizer_norms(cfg), optimal_loss(cfg),
+                      class_probabilities(cfg), gradient_norm(state, cfg)):
+            assert np.isfinite(value).all()
+        P = softmax_cols(Z)
+        assert np.all(P >= 0.0) and np.all(np.abs(P.sum(axis=0) - 1.0) <= 1e-12)
+
     @given(problem_configs())
     @settings(max_examples=100, deadline=None)
     def test_optimum_is_stationary(self, cfg):

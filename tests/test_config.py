@@ -14,9 +14,16 @@ class TestProblemConfigLambdas:
             ProblemConfig(K=3, n=2, d=4, **{name: value})
 
     def test_rejects_underflowing_lambda_z(self):
-        # 1e-200 * 1e-200 underflows, which used to divide by zero in logit_scale
-        with pytest.raises(ValueError, match="lambda_w \\* lambda_h underflows"):
-            ProblemConfig(K=3, n=2, d=4, lambda_w=1e-200, lambda_h=1e-200)
+        # 1e-200 * 1e-200 underflows, which used to divide by zero in logit_scale; the
+        # other pairs gave the minimizer infinite norms, a division by zero or a NaN L*.
+        for (K, d, lambda_w, lambda_h), message in (
+            ((3, 4, 1e-200, 1e-200), "lambda_w \\* lambda_h underflows to 0"),
+            ((3, 4, 5e-324, 1e308), "n \\* lambda_h / lambda_w overflows"),
+            ((3, 4, 1e308, 5e-324), "n \\* lambda_h / lambda_w underflows to 0"),
+            ((4, 6, 8e281, 2e261), "lambda_w \\* lambda_h overflows"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                ProblemConfig(K=K, n=2, d=d, lambda_w=lambda_w, lambda_h=lambda_h)
 
     def test_tiny_lambdas_without_underflow_are_accepted(self):
         cfg = ProblemConfig(K=3, n=2, d=4, lambda_w=1e-150, lambda_h=1e-150)

@@ -29,10 +29,6 @@ class TestSoftmax:
         out = softmax_cols(np.array([[math.log(3.0)], [0.0]]))
         assert np.allclose(out[:, 0], [0.75, 0.25])
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            softmax_cols(np.array([[np.inf], [0.0]]))
-
     @given(st.lists(st.floats(-50, 50), min_size=2, max_size=6),
            st.floats(-100, 100))
     @settings(max_examples=50)
@@ -61,13 +57,6 @@ class TestSmoothLabels:
         Yd = smooth_labels(Y, 0.2)
         assert np.allclose(np.sort(Yd[:, 0])[-1], 0.85)
         assert np.allclose(np.sort(Yd[:, 0])[:-1], 0.05)
-
-    def test_rejects_bad_delta(self):
-        Y = one_hot_labels(3, 1)
-        with pytest.raises(ValueError):
-            smooth_labels(Y, -0.1)
-        with pytest.raises(ValueError):
-            smooth_labels(Y, 1.5)
 
     def test_columns_sum_to_one(self):
         Yd = smooth_labels(one_hot_labels(5, 3), 0.3)
@@ -98,12 +87,6 @@ class TestLoss:
         expected += 0.005 * sum(W.ravel() ** 2) + 0.01 * sum(H.ravel() ** 2)
         expected += 0.015 * sum(b**2)
         assert loss_and_grad(state, cfg)[0] == pytest.approx(expected, rel=1e-12)
-
-    def test_dimension_mismatch(self):
-        cfg = ProblemConfig(K=3, n=2, d=4)
-        state = ModelState(np.zeros((4, 2)), np.zeros((4, 6)), np.zeros(3))
-        with pytest.raises(ValueError):
-            loss_and_grad(state, cfg)
 
     def test_affine_in_target(self):
         # loss with smoothed targets = (1-delta) loss(one-hot) + delta loss(uniform)

@@ -49,11 +49,6 @@ class TestBalancedFactorization:
         objective = (np.sum(W**2) + 3.0 * np.sum(H**2)) / (2 * np.sqrt(3.0))
         assert objective == pytest.approx(nuclear_norm(Z), abs=1e-10)
 
-    def test_rejects_bad_alpha(self):
-        with pytest.raises(ValueError):
-            balanced_factorization(np.eye(2), 0.0)
-
-
 class TestFactorizationGap:
     def test_balanced_pair_has_zero_gap(self):
         rng = np.random.default_rng(3)
