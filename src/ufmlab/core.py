@@ -5,7 +5,7 @@ d x N with column (k*n + i) holding sample i of class k (classes are
 0-based), and the bias b is a K-vector.  Labels are stored one-hot as a
 K x N matrix Y; a Workspace smooths one Y into the targets of each of its
 problems.  B problems that share K, n and d can be stacked as one B x P
-array whose rows are their W, H and b raveled (see Workspace).
+array whose rows are their [W; b^T] and [H; 1^T] raveled (see ModelState.ravel).
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ class ModelState:
         return ModelState(self.W.copy(), self.H.copy(), self.b.copy())
 
     def ravel(self) -> np.ndarray:
-        """W, H and b raveled into one P-vector, in that order (P = dK + dN + K)."""
-        return np.concatenate([self.W.ravel(), self.H.ravel(), self.b])
+        """[W; b^T] ((d+1) x K) then [H; 1^T] ((d+1) x N) raveled: one P-vector,
+        P = (d+1)(K+N).  The last N entries, the ones row, are a constant coordinate."""
+        return np.concatenate([self.W.ravel(), self.b, self.H.ravel(), np.ones(self.H.shape[-1])])
 
     def logits(self) -> np.ndarray:
         """Z = W^T H + b 1^T, shape K x N."""
@@ -46,88 +47,94 @@ def softmax_cols(Z: np.ndarray) -> np.ndarray:
 class Workspace:
     """Targets, weight decays and reused buffers of B problems that share K, n and d.
 
-    A pass reuses them, so descent allocates no K x N or d x N temporaries:
-    Z, E (B x K x N) shifted logits and exponentials; m, s (B x 1 x N) column
-    maxima, then log sums, and sums, then 1 / (N sums); G, t (B x P,
-    P = dK + dN + K) flat gradient and lambda * theta.  targets_n holds the
-    smoothed targets divided by N.  The views a pass reads are built once per
-    stack (take) and once per flat array (_bind), not on every pass.
+    A pass reuses them, so descent allocates no K x N or d x N temporaries.
+    Classes go outermost, so each elementwise step and class reduction runs
+    over one K x BN block: L ((K+1) x B x N) shifted logits S in rows :K, the
+    column maxima, then log sums, in row K; E (K x B x N) exp(S), then dL/dZ;
+    s (1 x B x N) sums, then 1 / (N sums); weights, laid out as L, -Y/N over a
+    row of 1/N.  G, t (B x P): flat gradient and lambda * theta; lam: lambda
+    rows, 0 on the ones row.  Views are built per stack (take) and array (_bind).
     """
 
     def __init__(self, cfgs):
         K, N, d, B = cfgs[0].K, cfgs[0].N, cfgs[0].d, len(cfgs)
         self.dims = d, K, N
         Y = one_hot_labels(K, cfgs[0].n)
-        self.targets_n = np.stack([smooth_labels(Y, c.delta) for c in cfgs])
-        self.targets_n /= N
+        self.weights = np.full((K + 1, B, N), 1.0 / N)
+        for i, c in enumerate(cfgs):
+            np.divide(smooth_labels(Y, c.delta), -N, out=self.weights[:K, i])
         # Y goes before the buffers below are allocated, so they can reuse its heap
         # space; kept to the end of __init__, it raised peak RSS by 1.4 MB at
         # K=100, n=20, d=128.
         del Y
-        self.lambdas = np.array([[c.lambda_w, c.lambda_h, c.lambda_b] for c in cfgs])
-        self._buffers = [np.empty((B, *shape)) for shape in
-                         ((K, N), (1, N), (d * (K + N) + K,)) for _ in range(2)]
+        self.lam = np.zeros((B, (d + 1) * (K + N)))
+        for x, name in zip(self.blocks(self.lam), ("lambda_w", "lambda_h", "lambda_b")):
+            x.T[...] = [getattr(c, name) for c in cfgs]  # x.T puts the member axis last
+        # L, E and s are flat, so that the blocks of the first B members stay contiguous.
+        self._buffers = [np.empty(rows * B * N) for rows in (K + 1, K, 1)]
+        self._buffers += [np.zeros(self.lam.shape), np.empty(self.lam.shape)]
         self.take(np.ones(B, dtype=bool))
+
+    def _homogeneous(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Views of the [W; b^T] and [H; 1^T] blocks of a B x P array of flattened problems."""
+        (d, K, N), B = self.dims, len(flat)
+        i = (d + 1) * K  # slices: np.hsplit's Python wrapper costs more than the views
+        return flat[:, :i].reshape(B, d + 1, K), flat[:, i:].reshape(B, d + 1, N)
 
     def blocks(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Views of the W, H and b blocks of a B x P array of flattened problems."""
-        (d, K, N), B = self.dims, len(flat)
-        return (flat[:, : d * K].reshape(B, d, K), flat[:, d * K : -K].reshape(B, d, N),
-                flat[:, -K:])
+        Wb, Hb = self._homogeneous(flat)
+        return Wb[:, :-1], Hb[:, :-1], Wb[:, -1]
 
     def take(self, keep: np.ndarray):
         """Keep the problems where keep is True, in order, at the front of the stack."""
         if not keep.all():
-            self.targets_n, self.lambdas = self.targets_n[keep], self.lambdas[keep]
-        lam, B = self.lambdas, len(self.lambdas)
-        self.Z, self.E, self.m, self.s, self.G, self.t = (a[:B] for a in self._buffers)
-        self.ET, self.log_s = np.swapaxes(self.E, -1, -2), self.m[:, 0]
-        self.G_blocks, self.t_blocks = self.blocks(self.G), self.blocks(self.t)
-        # The batched dots <Y/N, S> and <t, theta>: B products of a 1 x KN row and a KN x 1 column.
-        self.targets_row = self.targets_n.reshape(B, 1, -1)
-        self.S_col, self.t_row = self.Z.reshape(B, -1, 1), self.t[:, None]
-        self.decay = lam[:, 0, None, None], lam[:, 1, None, None], lam[:, 2, None]
-        self.flat = None
+            self.weights, self.lam = self.weights[:, keep], self.lam[keep]
+        (_, K, N), B = self.dims, len(self.lam)
+        L, E, s = (a[: r * B * N].reshape(r, B, N) for a, r in zip(self._buffers, (K + 1, K, 1)))
+        self.G, self.t = (a[:B] for a in self._buffers[3:])
+        self.S, self.log_s, self.E, self.s = (x.reshape(len(x), -1) for x in (L[:K], L[K:], E, s))
+        self.Z, self.dZ = L[:K].transpose(1, 0, 2), E.transpose(1, 0, 2)  # each member's K x N
+        self.dZT, self.neg_targets = np.swapaxes(self.dZ, -1, -2), self.weights[:K].reshape(K, -1)
+        self.G_blocks, self.G_Wb = self.blocks(self.G), self._homogeneous(self.G)[0]
+        # <weights, L> as K+1 row-by-column dots per member; <t, theta> as one.
+        self.weight_rows, self.L_cols = self.weights[:, :, None], L[..., None]
+        self.t_row, self.flat = self.t[:, None], None
 
     def _bind(self, flat: np.ndarray):
         """Build the views of flat that a pass reads; flat must stay the same array."""
         self.flat, self.flat_col = flat, flat[..., None]
-        self.W, self.H, self.b = self.blocks(flat)
-        self.WT, self.b_col = np.swapaxes(self.W, -1, -2), self.b[..., None]
+        (Wb, self.Hb), (self.W, self.H, self.b) = self._homogeneous(flat), self.blocks(flat)
+        self.WbT = np.swapaxes(Wb, -1, -2)
 
 
 def _pass(flat: np.ndarray, ws: Workspace) -> np.ndarray:
     """Loss of each stacked problem; leaves its gradient in ws.G.
 
-    Classes run along axis -2 and samples along axis -1.  Every column of
-    the targets sums to 1, so the cross-entropy is mean_j log s_j - <Y/N, S>
-    for the shifted logits S = Z - max and s the column sums of exp(S), and
-    dL/dZ is exp(S) / (N s) - Y/N.  Non-finite logits are not rejected here;
-    they make the loss non-finite, which callers treat as divergence.  (The
-    ufunc methods skip the np.sum wrappers, whose dispatch costs more than
-    the arithmetic at paper scale.)
+    The bias rides in the matrix products: Z = [W; b^T]^T [H; 1^T] and
+    [G_W; g_b^T] = [H; 1^T] (dL/dZ)^T.  Every target column sums to 1, so the
+    cross-entropy is mean_j log s_j - <Y/N, S> = <[-Y/N; 1/N], [S; log s]> for
+    S = Z - max and s the column sums of exp(S); its K+1 row dots accumulate
+    in order, so a member's loss does not depend on its stack.  dL/dZ is
+    exp(S) / (N s) - Y/N.  Non-finite logits make the loss non-finite, which
+    callers treat as divergence.  (The ufunc methods skip the np.sum wrappers,
+    whose dispatch costs more than the arithmetic at paper scale.)
     """
     if flat is not ws.flat:
         ws._bind(flat)
-    Z, E, s, N = ws.Z, ws.E, ws.s, ws.dims[2]
-    np.matmul(ws.WT, ws.H, out=Z)
-    Z += ws.b_col
-    Z -= np.maximum.reduce(Z, axis=-2, keepdims=True, out=ws.m)
-    np.add.reduce(np.exp(Z, out=E), axis=-2, keepdims=True, out=s)
-    for x, lam, t in zip((ws.W, ws.H, ws.b), ws.decay, ws.t_blocks):
-        np.multiply(x, lam, out=t)
-    np.log(s, out=ws.m)
-    loss = np.add.reduce(ws.log_s, axis=-1)
-    loss /= N
-    loss -= np.matmul(ws.targets_row, ws.S_col)[:, 0, 0]
+    S, E, s, N = ws.S, ws.E, ws.s, ws.dims[2]
+    np.matmul(ws.WbT, ws.Hb, out=ws.Z)
+    S -= np.maximum.reduce(S, axis=0, keepdims=True, out=ws.log_s)
+    np.add.reduce(np.exp(S, out=E), axis=0, keepdims=True, out=s)
+    np.multiply(flat, ws.lam, out=ws.t)
+    np.log(s, out=ws.log_s)
+    loss = np.add.accumulate(np.matmul(ws.weight_rows, ws.L_cols), axis=0)[-1, :, 0, 0]
     # The weight decay 1/2 <lambda theta, theta> reuses the lambda theta of the gradient.
     loss += 0.5 * np.matmul(ws.t_row, ws.flat_col)[:, 0, 0]
     E *= np.divide(1.0 / N, s, out=s)
-    E -= ws.targets_n
-    G = ws.G_blocks
-    np.matmul(ws.H, ws.ET, out=G[0])
-    np.matmul(ws.W, E, out=G[1])
-    np.add.reduce(E, axis=-1, out=G[2])
+    E += ws.neg_targets
+    np.matmul(ws.Hb, ws.dZT, out=ws.G_Wb)
+    np.matmul(ws.W, ws.dZ, out=ws.G_blocks[1])
     ws.G += ws.t
     return loss
 
@@ -135,8 +142,8 @@ def _pass(flat: np.ndarray, ws: Workspace) -> np.ndarray:
 def loss_and_grad(params, cfg):
     """Risk L(W, H, b) and its exact gradient blocks (G_W, G_H, g_b) from one forward pass.
 
-    For B stacked problems, params is their B x P array (each row is W, H
-    and b raveled in that order) and cfg is their Workspace; the loss is
+    For B stacked problems, params is their B x P array (each row laid out
+    as ModelState.ravel lays it) and cfg is their Workspace; the loss is
     then a B-vector and the gradient blocks (B x d x K, B x d x N, B x K)
     are views of the flat buffer ws.G, overwritten by the next pass.  For
     one problem, params is its ModelState and cfg its ProblemConfig: the

@@ -96,6 +96,11 @@ def run(cfg: ProblemConfig, opt: OptimizerConfig, compute_metrics: bool = True) 
 STACK_BYTES = 2**22
 
 
+def member_bytes(cfg: ProblemConfig) -> int:
+    """Bytes of a stack member's arrays: flat, vel, G, t and lam (P each), L, weights, E, s."""
+    return 8 * (5 * (cfg.d + 1) * (cfg.K + cfg.N) + 3 * (cfg.K + 1) * cfg.N)
+
+
 def run_stack(cfgs, opt, seeds, compute_metrics: bool = True) -> Iterator[Trajectory]:
     """run(cfgs[i], opt with seed seeds[i]) for each member, as stacked problems.
 
@@ -108,9 +113,7 @@ def run_stack(cfgs, opt, seeds, compute_metrics: bool = True) -> Iterator[Trajec
     """
     if not cfgs:
         return
-    d, K, N = cfgs[0].d, cfgs[0].K, cfgs[0].N
-    # Per member: flat, vel, G and t (P floats each), and Z, E and targets (K x N each).
-    width = max(1, STACK_BYTES // (8 * (4 * (d * (K + N) + K) + 3 * K * N)))
+    width = max(1, STACK_BYTES // member_bytes(cfgs[0]))
     if len(cfgs) > width:
         for i in range(0, len(cfgs), width):
             yield from run_stack(cfgs[i : i + width], opt, seeds[i : i + width],

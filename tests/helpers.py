@@ -88,21 +88,31 @@ def dense_classifier_hessian(state: ModelState, cfg: ProblemConfig, f=lambda x: 
 def reference_loss_and_grad(state: ModelState, cfg: ProblemConfig):
     """The one-problem kernel written with fresh temporaries: the arithmetic,
     in the same order, that core.loss_and_grad does in place on a flat stack
-    (cross-entropy as mean log s - <Y/N, S>, weight decay as 1/2 <lambda theta, theta>)."""
+    (the bias as a row of the matrix products, Z = [W; b^T]^T [H; 1^T] and
+    [G_W; g_b^T] = [H; 1^T] dZ^T; the cross-entropy as the K+1 row dots of
+    [-Y/N; 1/N] with [S; log s], added in order; the weight decay as
+    1/2 <lambda theta, theta> over the layout of ModelState.ravel)."""
     N = cfg.N
     Yn = smooth_labels(one_hot_labels(cfg.K, cfg.n), cfg.delta) / N
-    Z = state.W.T @ state.H + state.b[:, None]
+    Wb, Hb = np.vstack([state.W, state.b]), np.vstack([state.H, np.ones(N)])
+    Z = Wb.T @ Hb
     S = Z - Z.max(axis=0, keepdims=True)
     e = np.exp(S)
     s = e.sum(axis=0)
-    decay = [lam * x for lam, x in zip((cfg.lambda_w, cfg.lambda_h, cfg.lambda_b),
-                                       (state.W, state.H, state.b))]
-    t = np.concatenate([x.ravel() for x in decay])
-    loss = np.log(s).sum() / N - np.dot(Yn.ravel(), S.ravel()) + 0.5 * np.dot(t, pack(state))
+    theta = state.ravel()
+    lam = np.concatenate([np.full(state.W.size, cfg.lambda_w), np.full(cfg.K, cfg.lambda_b),
+                          np.full(state.H.size, cfg.lambda_h), np.zeros(N)])
+    t = lam * theta
+    rows = zip(np.vstack([-Yn, np.full(N, 1.0 / N)]), np.vstack([S, np.log(s)]))
+    data = 0.0
+    for w, x in rows:
+        data += np.dot(w, x)
+    loss = data + 0.5 * np.dot(t, theta)
     dZ = e * ((1.0 / N) / s) - Yn
-    G_W = state.H @ dZ.T + decay[0]
-    G_H = state.W @ dZ + decay[1]
-    g_b = dZ.sum(axis=1) + decay[2]
+    G_Wb = Hb @ dZ.T
+    G_W = G_Wb[:-1] + cfg.lambda_w * state.W
+    G_H = state.W @ dZ + cfg.lambda_h * state.H
+    g_b = G_Wb[-1] + cfg.lambda_b * state.b
     return float(loss), (G_W, G_H, g_b)
 
 

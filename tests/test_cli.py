@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -8,6 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
+import ufmlab
 from ufmlab import descent, spectral
 from ufmlab.cli import load_config, main
 from ufmlab.core import softmax_cols
@@ -499,3 +503,12 @@ class TestCheck:
         failed = [name for status, name, _ in check_lines(capsys.readouterr().out)
                   if status == "FAIL"]
         assert failed == ["self-duality", "stationarity"]
+
+
+def test_importing_the_cli_loads_no_yaml():
+    # Only load_config reads YAML, so calibrate and check never pay for importing it.
+    src = str(Path(ufmlab.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, ufmlab.cli; assert 'yaml' not in sys.modules, 'yaml was imported'"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)

@@ -13,7 +13,6 @@ from helpers import (
     SATURATION_VALUE,
     fd_gradient,
     ls_equalization_gap,
-    pack,
     product_form_loss_and_grad,
     random_state,
     reference_loss_and_grad,
@@ -144,7 +143,7 @@ class TestGradient:
 
 def stacked(states):
     """The states as one flat B x P array, the layout descent runs on."""
-    return np.stack([pack(s) for s in states])
+    return np.stack([s.ravel() for s in states])
 
 
 class TestStackedKernel:
@@ -215,21 +214,57 @@ class TestStackedKernel:
             assert all(np.array_equal(g[i], r) for g, r in zip(grads, one_grads))
 
     def test_workspace_targets_follow_each_members_delta(self):
+        # Classes run along axis 0 and members along axis 1: rows :K of a
+        # member's weights are its targets over -N, row K is 1/N.
         cfgs = [ProblemConfig(K=3, n=2, d=4, delta=delta) for delta in (0.1, 0.2, 0.1)]
-        targets = Workspace(cfgs).targets_n
-        assert targets.shape == (3, 3, 6)
-        for t, cfg in zip(targets, cfgs):
-            assert np.array_equal(t, smooth_labels(one_hot_labels(3, 2), cfg.delta) / 6)
-        assert targets[1, 0, 0] == pytest.approx((0.8 + 0.2 / 3) / 6)
+        weights = Workspace(cfgs).weights
+        assert weights.shape == (4, 3, 6)
+        for i, cfg in enumerate(cfgs):
+            assert np.array_equal(weights[:3, i],
+                                  -(smooth_labels(one_hot_labels(3, 2), cfg.delta) / 6))
+            assert np.all(weights[3, i] == 1 / 6)
+        assert weights[0, 1, 0] == pytest.approx(-(0.8 + 0.2 / 3) / 6)
 
     def test_blocks_are_views(self):
+        # Each row is [W; b^T] (5 x 3) then [H; 1^T] (5 x 6), raveled.
         cfg = ProblemConfig(K=3, n=2, d=4)
-        flat = np.zeros((2, 4 * 3 + 4 * 6 + 3))
+        flat = np.zeros((2, 5 * 3 + 5 * 6))
         W, H, b = Workspace([cfg, cfg]).blocks(flat)
         W[1] += 1.0
         H[0] += 2.0
         b[1] += 3.0
         assert flat.sum() == 12 + 2 * 24 + 3 * 3
+        assert np.all(flat[1, 12:15] == 3.0) and np.all(flat[0, 15:39] == 2.0)
+        assert not flat[:, -6:].any()
+
+    def test_blocks_read_back_a_raveled_state(self):
+        rng = np.random.default_rng(8)
+        cfg = ProblemConfig(K=4, n=3, d=5)
+        state = random_state(cfg, rng)
+        W, H, b = Workspace([cfg]).blocks(state.ravel()[None])
+        assert all(np.array_equal(x[0], y) for x, y in zip((W, H, b), (state.W, state.H, state.b)))
+
+    def test_the_ones_row_stays_exactly_one(self):
+        # Heavy ball on a 3-member stack, one member leaving part way: the ones
+        # row has lambda 0 and gradient 0, so it never moves off 1.
+        rng = np.random.default_rng(9)
+        cfgs = [ProblemConfig(K=3, n=2, d=4, delta=delta, lambda_b=1e-2)
+                for delta in (0.0, 0.1, 0.3)]
+        ws = Workspace(cfgs)
+        flat = stacked([random_state(c, rng) for c in cfgs])
+        vel = np.zeros_like(flat)
+        for it in range(60):
+            loss_and_grad(flat, ws)
+            assert np.all(flat[:, -6:] == 1.0) and np.all(ws.G[:, -6:] == 0.0)
+            assert ws.G[:, :-6].all()
+            vel *= 0.9
+            vel -= 0.5 * ws.G
+            flat += vel
+            if it == 30:
+                keep = np.array([True, False, True])
+                flat, vel = flat[keep], vel[keep]
+                ws.take(keep)
+        assert len(flat) == 2
 
 
 class TestEqualizationGap:

@@ -195,7 +195,7 @@ class TestRunStack:
         opts = [replace(self.OPT, seed=o.seed) for _, o in self.GRID]
         seeds = [o.seed for o in opts]
         trajs = list(run_stack(cfgs, self.OPT, seeds, compute_metrics=compute_metrics))
-        assert len(cfgs) * 8 * (4 * 39 + 3 * 18) <= descent.STACK_BYTES  # one stack
+        assert len(cfgs) * descent.member_bytes(cfgs[0]) <= descent.STACK_BYTES  # one stack
         stops = [t.rows[-1].iter for t in trajs]
         # Members leave from the middle of the stack, not only from its end,
         # some stop off the record grid, and the degenerate ones hit max_iters.
@@ -294,8 +294,7 @@ class TestRunStack:
         cfgs = [c for c, _ in self.GRID]
         seeds = [o.seed for _, o in self.GRID]
         whole = list(run_stack(cfgs, self.OPT, seeds))
-        # K=3, n=2, d=4: 8 * (4 * 39 + 3 * 18) = 1680 bytes a member.
-        monkeypatch.setattr(descent, "STACK_BYTES", 5 * 1680)
+        monkeypatch.setattr(descent, "STACK_BYTES", 5 * descent.member_bytes(cfgs[0]))
         widths = []
 
         def counted(flat, ws):
