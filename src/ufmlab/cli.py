@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import typing
@@ -343,6 +344,7 @@ def cmd_check(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+@functools.cache  # one parser per process: main looks the command function up on each call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ufmlab",
@@ -357,24 +359,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="closed-form minimizer report")
     add_common(p)
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("optimize", help="gradient-descent run with trajectory CSV")
     add_common(p)
-    p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("spectrum", help="analytic vs numeric Hessian spectra")
     add_common(p)
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("sweep", help="smoothing-parameter sweep table")
     add_common(p)
     p.add_argument("--deltas", help="comma-separated smoothing values")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("race", help="descent race of delta = 0 against the config's delta")
     add_common(p)
-    p.set_defaults(func=cmd_race)
 
     p = sub.add_parser("calibrate", help="calibration report for (logits, labels)")
     p.add_argument("logits", help="headerless CSV, K rows x M columns")
@@ -384,22 +381,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fit-temperature", action="store_true")
     p.add_argument("--holdout-fraction", type=float, default=0.0)
     p.add_argument("--seed", type=_at_least(0), default=None)
-    p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("check", help="check the named theory claims (ufmlab.theory.CLAIMS)")
     p.add_argument("--perturb", type=_finite, default=0.0,
                    help="inject a perturbation into the closed-form checks")
     p.add_argument("--seed", type=_at_least(0), default=None)
-    p.set_defaults(func=cmd_check)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    commands = {"solve": cmd_solve, "optimize": cmd_optimize, "spectrum": cmd_spectrum,
+                "sweep": cmd_sweep, "race": cmd_race, "calibrate": cmd_calibrate,
+                "check": cmd_check}
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

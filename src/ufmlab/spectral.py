@@ -53,16 +53,8 @@ class SpectrumReport:
 
 
 def probability_laplacian(p: np.ndarray) -> np.ndarray:
-    """diag(p) - p p^T for a probability vector p.
-
-    A K x N matrix is read as N probability columns; the result is then
-    K x K x N, with the Laplacian of column j in [:, :, j].
-    """
-    K = p.shape[0]
-    D = np.zeros((K,) + p.shape)
-    D[range(K), range(K)] = p
-    D -= p[:, None] * p[None, :]
-    return D
+    """diag(p) - p p^T for a probability vector p."""
+    return np.diag(p) - np.outer(p, p)
 
 
 def analytic_feature_hessian_spectrum(cfg: ProblemConfig) -> SpectrumReport:
@@ -113,20 +105,20 @@ def numeric_hessian_classifier(state: ModelState, cfg: ProblemConfig) -> np.ndar
     When r = d, G is H itself and M the full Kd x Kd Hessian; H = 0 gives 0 x 0.
     """
     H = state.H
-    D = probability_laplacian(softmax_cols(state.logits()))
+    P = softmax_cols(state.logits())
     K, N = cfg.K, cfg.N
     U, sv, _ = np.linalg.svd(H, full_matrices=False)
     r = int(np.count_nonzero(sv > sv[0] * max(H.shape) * np.finfo(float).eps))
     G = H if r == cfg.d else U[:, :r].T @ H
-    # M[a, p, b, q] = sum_j (g_j[p] D_j[a, b]) g_j[q], one GEMM per block row a,
-    # written straight into M.
-    M = np.empty((K, r, K, r))
-    A = np.empty((r, K, N))
-    for a in range(K):
-        np.multiply(G[:, None, :], D[a], out=A)
-        np.matmul(A.reshape(r * K, N), G.T, out=M[a].reshape(r * K, r))
-    M /= N
-    return M.reshape(K * r, K * r)
+    # With D_j = diag(p_j) - p_j p_j^T, the block (a, b != a) is -(1/N) G diag(P[a] P[b]) G^T:
+    # -(1/N) V V^T with V[(a, p), j] = P[a, j] G[p, j], one syrk.  Diagonal block a is then
+    # overwritten with (1/N) G diag(P[a] - P[a]^2) G^T from the Laplacian's own diagonal;
+    # G diag(P[a]) G^T - (V V^T)_aa would cancel at confident columns.
+    V = (P[:, None, :] * G).reshape(K * r, N)
+    M = V @ V.T
+    M /= -N
+    M.reshape(K, r, K, r)[range(K), :, range(K)] = ((P - P * P)[:, None, :] * G) @ G.T / N
+    return M
 
 
 def classifier_eigenvalues(state: ModelState, cfg: ProblemConfig) -> np.ndarray:

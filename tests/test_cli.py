@@ -12,7 +12,7 @@ import pytest
 import yaml
 
 import ufmlab
-from ufmlab import descent, spectral
+from ufmlab import cli, descent, spectral
 from ufmlab.cli import load_config, main
 from ufmlab.core import softmax_cols
 
@@ -349,6 +349,28 @@ class TestSweepSection:
         assert main(["sweep", "--config", str(path), "--out", str(out), *argv]) == 2
         assert f"{name}: delta must be in [0, 1), got 1.5" in capsys.readouterr().err
         assert runs == [] and not out.exists()
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_sweep_without_deltas_flag_reads_config_after_one_with_it(self, tmp_path,
+                                                                      monkeypatch):
+        seen = []
+        monkeypatch.setattr(descent, "delta_sweep",
+                            lambda cfg, deltas, opt: seen.append(deltas) or [])
+        cfg = write_config(tmp_path / "c.yaml", REF_PROBLEM,
+                           extra={"sweep": {"deltas": [0.0, 0.3]}})
+        for argv in (["--deltas", "0.1"], []):
+            assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"), *argv]) == 0
+        assert seen == [[0.1], [0.0, 0.3]]
+
+    def test_command_patched_after_a_call_is_the_one_run(self, tmp_path, monkeypatch):
+        argv = ["solve", "--config", str(tmp_path / "missing.yaml")]
+        assert main(argv) == 2
+        monkeypatch.setattr(cli, "cmd_solve", lambda args: 7)
+        assert main(argv) == 7
 
 
 class TestReportEnvelope:
