@@ -244,20 +244,16 @@ def _hessian_section(analytic: spectral.SpectrumReport, vals: np.ndarray) -> dic
 def cmd_spectrum(args) -> int:
     cfg, opt, _ = load_config(args.config, args.seed)
     state = global_minimizer(cfg)
-    payload = {
+    return _publish(args.out, "spectrum", {
         "feature_hessian": _hessian_section(
             spectral.analytic_feature_hessian_spectrum(cfg),
             np.linalg.eigvalsh(spectral.numeric_hessian_features(state, cfg)),
         ),
-    }
-    if cfg.K >= 3:
-        payload["classifier_hessian"] = _hessian_section(
+        "classifier_hessian": _hessian_section(
             spectral.analytic_classifier_hessian_spectrum(cfg),
             spectral.classifier_eigenvalues(state, cfg),
-        )
-    else:
-        payload["classifier_hessian"] = {"skipped": "requires K >= 3"}
-    return _publish(args.out, "spectrum", payload, config=(cfg, opt))
+        ),
+    }, config=(cfg, opt))
 
 
 def cmd_sweep(args) -> int:

@@ -2,8 +2,9 @@
 
 The minimizer is a simplex ETF: W and the class-mean feature matrix are
 both proportional to P (K I - 11^T) for a partial orthogonal P (built
-here for P = I[:, :K]), with a logit scale that shrinks as smoothing or
-regularization grows and hits zero once sqrt(KN) * lambda_z + delta >= 1.
+here for P = I[:, :K]).  The optimum depends on delta and the weights only
+through s = min(sqrt(KN) * lambda_z + delta, 1): p_n = s/K, and the logit
+scale shrinks as s grows and is zero at s = 1.
 """
 
 from __future__ import annotations
@@ -16,20 +17,21 @@ from .config import ProblemConfig, one_hot_labels
 from .core import ModelState
 
 
+def s_axis(cfg: ProblemConfig) -> float:
+    """s = min(sqrt(KN) lambda_z + delta, 1), the optimum's one axis: K p_n = s."""
+    return min(math.sqrt(cfg.K * cfg.N) * cfg.lambda_z + cfg.delta, 1.0)
+
+
 def logit_scale(cfg: ProblemConfig) -> float:
-    """Optimal logit scale a(delta); zero in the over-regularized regime."""
-    s = math.sqrt(cfg.K * cfg.N) * cfg.lambda_z + cfg.delta
-    if s >= 1.0:
-        return 0.0
-    return math.log(cfg.K / s - cfg.K + 1.0) / cfg.K
+    """Optimal logit scale a, from e^{aK} = 1 + K (1 - s) / s; exactly 0 at s = 1."""
+    s = s_axis(cfg)
+    return math.log1p(cfg.K * (1.0 - s) / s) / cfg.K
 
 
 def class_probabilities(cfg: ProblemConfig) -> tuple[float, float]:
-    """Optimal predicted probabilities (p_t, p_n) for target / non-target."""
-    a = logit_scale(cfg)
-    e = math.exp(a * cfg.K)
-    denom = cfg.K - 1.0 + e
-    return e / denom, 1.0 / denom
+    """Optimal (p_t, p_n) = ((K (1 - s) + s) / K, s / K); not 1 - (K - 1) s / K, which cancels."""
+    s = s_axis(cfg)
+    return (cfg.K * (1.0 - s) + s) / cfg.K, s / cfg.K
 
 
 def simplex_etf_core(K: int) -> np.ndarray:
@@ -77,10 +79,10 @@ def optimal_loss(cfg: ProblemConfig) -> float:
     There b = 0 and class-k samples have logits a (K - 1) on k and -a elsewhere, so with
     Z = K - 1 + e^{aK}, -log p_t = log Z - aK and -log p_n = log Z.  The targets
     t_t = 1 - delta + delta/K and t_n = delta/K have t_t + (K - 1) t_n = 1, so the data term
-    t_t (log Z - aK) + (K - 1) t_n log Z is log1p((K - 1) e^{-aK}) + delta (K - 1) a, which
-    does not cancel as p_t -> 1.  The weight decay adds a K (K - 1) sqrt(n) lambda_z.
+    t_t (log Z - aK) + (K - 1) t_n log Z is log1p((K - 1) e^{-aK}) + delta (K - 1) a, where
+    (K - 1) e^{-aK} = (K - 1) s / (K (1 - s) + s); it does not cancel as p_t -> 1.  The
+    weight decay adds a K (K - 1) sqrt(n) lambda_z.
     """
-    K, a = cfg.K, logit_scale(cfg)
-    ce = math.log1p((K - 1) * math.exp(-a * K)) + cfg.delta * (K - 1) * a
+    K, s, a = cfg.K, s_axis(cfg), logit_scale(cfg)
+    ce = math.log1p((K - 1) * s / (K * (1.0 - s) + s)) + cfg.delta * (K - 1) * a
     return ce + a * K * (K - 1) * math.sqrt(cfg.n) * cfg.lambda_z
-

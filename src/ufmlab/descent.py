@@ -101,15 +101,18 @@ def member_bytes(cfg: ProblemConfig) -> int:
     return 8 * (5 * (cfg.d + 1) * (cfg.K + cfg.N) + 3 * (cfg.K + 1) * cfg.N)
 
 
-def run_stack(cfgs, opt, seeds, compute_metrics: bool = True) -> Iterator[Trajectory]:
+def run_stack(cfgs, opt, seeds, compute_metrics: bool = True,
+              rel_tol: float | None = None) -> Iterator[Trajectory]:
     """run(cfgs[i], opt with seed seeds[i]) for each member, as stacked problems.
 
     The members share K, n and d; a member's seed picks its initial state.
     Each iteration is one loss_and_grad pass over the members still running;
     a member leaves the stack when it stops, and its trajectory is the one
-    run gives it alone.  Trajectories are yielded in member order as each
-    stack finishes, so a caller that keeps none of them holds at most one
-    stack's final states.
+    run gives it alone.  With rel_tol set, a member converges once its loss
+    gap falls below rel_tol times its gap at iteration 0, not below
+    opt.loss_tol.  Trajectories are yielded in member order as each stack
+    finishes, so a caller that keeps none of them holds at most one stack's
+    final states.
     """
     if not cfgs:
         return
@@ -117,7 +120,7 @@ def run_stack(cfgs, opt, seeds, compute_metrics: bool = True) -> Iterator[Trajec
     if len(cfgs) > width:
         for i in range(0, len(cfgs), width):
             yield from run_stack(cfgs[i : i + width], opt, seeds[i : i + width],
-                                 compute_metrics)
+                                 compute_metrics, rel_tol)
         return
     ws = Workspace(cfgs)
     flat = np.stack([init_state(c, replace(opt, seed=seed)).ravel()
@@ -126,6 +129,7 @@ def run_stack(cfgs, opt, seeds, compute_metrics: bool = True) -> Iterator[Trajec
     L_stars = [optimal_loss(c) for c in cfgs]
     trajs = [Trajectory(optimal_value=L) for L in L_stars]
     members, L_star = np.arange(len(cfgs)), np.array(L_stars)
+    tol = np.full(len(cfgs), opt.loss_tol)  # each member's stop target
     history = np.empty((min(opt.max_iters, 1023) + 1, len(cfgs)))  # column i: stack slot i
 
     for it in range(opt.max_iters + 1):  # every member stops by it == max_iters
@@ -141,9 +145,10 @@ def run_stack(cfgs, opt, seeds, compute_metrics: bool = True) -> Iterator[Trajec
             raise DivergenceError(f"loss diverged at iteration {it}: {loss[i]} (delta "
                                   f"{cfgs[j].delta}, seed {seeds[j]})", trajs[j].rows)
         gap, keep = loss - L_star, None
-        if (np.minimum.reduce(gap) < opt.loss_tol or it % opt.record_every == 0
-                or it == opt.max_iters):
-            converged = gap < opt.loss_tol
+        if it == 0 and rel_tol is not None:
+            tol = rel_tol * gap
+        if (gap < tol).any() or it % opt.record_every == 0 or it == opt.max_iters:
+            converged = gap < tol
             stop = converged | (it == opt.max_iters)
             rec = np.flatnonzero(stop | (it % opt.record_every == 0))
             rows = _stack_rows(ws, cfgs[0], it, loss, gap, compute_metrics, rec)
@@ -164,14 +169,8 @@ def run_stack(cfgs, opt, seeds, compute_metrics: bool = True) -> Iterator[Trajec
         flat += vel
         if keep is not None:  # the stopped members leave after the step
             flat, vel, members = flat[keep], vel[keep], members[keep]
-            L_star, history = L_star[keep], history[:, keep]
+            L_star, tol, history = L_star[keep], tol[keep], history[:, keep]
             ws.take(keep)
-
-
-def iterations_to_epsilon(traj: Trajectory, eps: float):
-    """First iteration with loss - L* < eps (L* = traj.optimal_value), or None if never reached."""
-    hits = np.nonzero(traj.loss_history - traj.optimal_value < eps)[0]
-    return int(hits[0]) if len(hits) else None
 
 
 def mean_logit_distance(state: ModelState, cfg: ProblemConfig) -> float:
@@ -205,20 +204,14 @@ def delta_sweep(
     cfgs = [replace(cfg_base, delta=delta) for delta in deltas]
     rows = []
     for cfg, traj in zip(cfgs, run_stack(cfgs, opt, [opt.seed] * len(cfgs))):
-        kappa_h = spectral.analytic_feature_hessian_spectrum(cfg).condition_number
-        kappa_w = (
-            spectral.analytic_classifier_hessian_spectrum(cfg).condition_number
-            if cfg.K >= 3
-            else float("nan")
-        )
         last = traj.rows[-1]
         rows.append(
             SweepRow(
                 delta=cfg.delta,
                 a_delta=logit_scale(cfg),
                 w_norm=minimizer_norms(cfg)[0],
-                kappa_h=kappa_h,
-                kappa_w=kappa_w,
+                kappa_h=spectral.analytic_feature_hessian_spectrum(cfg).condition_number,
+                kappa_w=spectral.analytic_classifier_hessian_spectrum(cfg).condition_number,
                 iters_to_eps=last.iter if traj.converged else None,
                 nc1=last.nc1,
                 nc2=last.nc2,
@@ -244,13 +237,13 @@ class RaceRow:
 def convergence_race(cfg: ProblemConfig, opt: OptimizerConfig) -> list[RaceRow]:
     """Race delta = 0 against cfg.delta from RACE_SEEDS shared initializations.
 
-    Seeds run from opt.seed upwards; each run counts the iterations until
-    the loss gap falls below RACE_REL_EPS times its initial value (None if
-    max_iters comes first).
+    Seeds run from opt.seed upwards; each run stops, and counts its
+    iterations, once the loss gap falls below RACE_REL_EPS times its initial
+    value, whatever opt.loss_tol is (None if max_iters comes first).
     """
     seeds = [seed for seed in range(opt.seed, opt.seed + RACE_SEEDS) for _ in range(2)]
     cfgs = [replace(cfg, delta=0.0), cfg] * RACE_SEEDS
-    iters = [iterations_to_epsilon(t, RACE_REL_EPS * (t.loss_history[0] - t.optimal_value))
-             for t in run_stack(cfgs, opt, seeds, compute_metrics=False)]
+    iters = [t.rows[-1].iter if t.converged else None
+             for t in run_stack(cfgs, opt, seeds, compute_metrics=False, rel_tol=RACE_REL_EPS)]
     return [RaceRow(seed, ce, ls, ls is not None and (ce is None or ls < ce))
             for seed, ce, ls in zip(seeds[::2], iters[::2], iters[1::2])]

@@ -2,8 +2,10 @@
 
 Both partial Hessians (features with W fixed, classifier with H fixed)
 have closed-form spectra built from the Laplacian of the optimal
-prediction vector; the condition number over the nonzero eigenvalues is
-K * p_t for both, which shrinks as the smoothing parameter grows.
+prediction vector.  For K >= 3 the condition number over the nonzero
+eigenvalues is K * p_t = K - (K - 1) s for both, which shrinks as the
+smoothing parameter grows; at K = 2 both have one nonzero eigenvalue, so
+both reports are degenerate with condition number 1.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ProblemConfig
-from .closed_form import class_probabilities, minimizer_scales
+from .closed_form import class_probabilities, minimizer_scales, s_axis
 from .core import ModelState, softmax_cols
 
 # Relative gap used to cluster numerically equal eigenvalues.
@@ -61,31 +63,25 @@ def analytic_feature_hessian_spectrum(cfg: ProblemConfig) -> SpectrumReport:
     """Spectrum of one per-sample feature block (1/N) W D W^T (d x d)."""
     p_t, p_n = class_probabilities(cfg)
     K, d, N = cfg.K, cfg.d, cfg.N
-    # W = c_w P (K I - 11^T) = s P (I - 11^T/K), with s = K c_w.
-    s2 = (K * minimizer_scales(cfg)[0]) ** 2
+    # W = c_w P (K I - 11^T) = g P (I - 11^T/K), with g = K c_w.
+    g2 = (K * minimizer_scales(cfg)[0]) ** 2
     pairs = [(0.0, 1 + d - K)]
     if K > 2:
-        pairs.append((s2 * p_n / N, K - 2))
-    pairs.append((s2 * K * p_t * p_n / N, 1))
+        pairs.append((g2 * p_n / N, K - 2))
+    pairs.append((g2 * K * p_t * p_n / N, 1))
     return SpectrumReport(pairs, "analytic")
 
 
 def analytic_classifier_hessian_spectrum(cfg: ProblemConfig) -> SpectrumReport:
-    """Spectrum of the full classifier Hessian (Kd x Kd) at the minimizer, for K >= 3.
-
-    Its K = 2 form degenerates; both callers, cmd_spectrum and delta_sweep,
-    skip K = 2 before they call it.
-    """
-    K, d = cfg.K, cfg.d
+    """Spectrum of the full classifier Hessian (Kd x Kd) at the minimizer."""
+    K, d, s = cfg.K, cfg.d, s_axis(cfg)
     p_t, p_n = class_probabilities(cfg)
     c = K * minimizer_scales(cfg)[1] ** 2  # K c_h^2: the spectrum's prefactor
-    lam_mid = (1.0 - p_t + p_n) * (p_n + (K - 1) * p_t) / K
-    pairs = [
-        (0.0, 2 * K - 1 + K * (d - K)),
-        (c * p_n, K * K - 3 * K + 1),
-        (c * lam_mid, K - 1),
-        (c * K * p_n * p_t, 1),
-    ]
+    pairs = [(0.0, 2 * K - 1 + K * (d - K))]
+    if K > 2:  # at K = 2 these two clusters are (c p_n, -1) and (c p_n, +1)
+        # (1 - p_t + p_n) (p_n + (K - 1) p_t) / K, with 1 - p_t + p_n = s
+        pairs += [(c * p_n, K * K - 3 * K + 1), (c * s * ((K - 2) * (1 - s) + 1) / K, K - 1)]
+    pairs.append((c * K * p_n * p_t, 1))
     return SpectrumReport(pairs, "analytic")
 
 

@@ -154,6 +154,30 @@ def reference_losses(cfg: ProblemConfig, opt, state: ModelState) -> np.ndarray:
     return np.array(losses)
 
 
+def iterations_to_epsilon(traj, eps: float):
+    """First iteration with loss - L* < eps in traj.loss_history (L* = traj.optimal_value),
+    or None if never reached: a scan of the whole history, against run_stack's own stop."""
+    hits = np.nonzero(traj.loss_history - traj.optimal_value < eps)[0]
+    return int(hits[0]) if len(hits) else None
+
+
+def balancedness_step(state: ModelState, cfg: ProblemConfig, eta: float) -> np.ndarray:
+    """W'W'^T - H'H'^T after one plain gradient step of size eta from state, by the
+    weight-decayed balancedness law (Du, Hu and Lee 2018) for D = W W^T - H H^T:
+
+    D' = (1 - eta l_W)^2 W W^T - (1 - eta l_H)^2 H H^T + eta^2 (l_W - l_H) (X + X^T)
+         + eta^2 (H G_Z^T G_Z H^T - W G_Z G_Z^T W^T),  X = W G_Z H^T,
+
+    with G_Z = dL/dZ = (softmax(Z) - Y_delta) / N taken from softmax_cols, not the kernel.
+    The bias enters through Z only."""
+    W, H = state.W, state.H
+    Yd = smooth_labels(one_hot_labels(cfg.K, cfg.n), cfg.delta)
+    G_Z = (softmax_cols(state.logits()) - Yd) / cfg.N
+    X, A, B = W @ G_Z @ H.T, H @ G_Z.T, W @ G_Z
+    return ((1 - eta * cfg.lambda_w) ** 2 * (W @ W.T) - (1 - eta * cfg.lambda_h) ** 2 * (H @ H.T)
+            + eta**2 * (cfg.lambda_w - cfg.lambda_h) * (X + X.T) + eta**2 * (A @ A.T - B @ B.T))
+
+
 def reference_class_covariances(H: np.ndarray, labels: np.ndarray, K: int):
     """Within- and between-class covariances (d x d, or B x d x d) of the
     columns of H with class labels in [0, K), built by a loop over the classes."""

@@ -15,7 +15,7 @@ from ufmlab.closed_form import (
     mean_logit_matrix,
 )
 from ufmlab.core import gradient_norm, loss_and_grad, softmax_cols
-from ufmlab.descent import iterations_to_epsilon, run
+from ufmlab.descent import run
 from ufmlab.nc_metrics import centered, class_means, nc1, nc2, nc3
 from ufmlab.spectral import (
     analytic_classifier_hessian_spectrum,
@@ -27,7 +27,8 @@ from ufmlab.spectral import (
 )
 from ufmlab.theory import CLAIMS
 
-from helpers import CONFIG_GRID, fd_gradient, random_state, solve_logit_scale_by_bisection
+from helpers import (CONFIG_GRID, fd_gradient, iterations_to_epsilon, random_state,
+                     solve_logit_scale_by_bisection)
 
 
 def report(num, ok, msg):
@@ -99,7 +100,7 @@ def test_criterion_4_hessian_spectra():
     start = time.monotonic()
     worst = 0.0
     mults_ok = True
-    for K in (3, 4, 10):
+    for K in (2, 3, 4, 10):
         for d in (K, K + 3):
             for delta in (0.0, 0.1):
                 cfg = ProblemConfig(K=K, n=5, d=d, delta=delta)

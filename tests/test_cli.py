@@ -155,14 +155,12 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("k, delta", [(2, 0.1), (3, 0.98)])
     def test_degenerate_sections_agree(self, tmp_path, k, delta):
-        # K = 2 has one nonzero feature eigenvalue; at delta = 0.98 the logit scale is 0
+        # K = 2 has one nonzero eigenvalue in each Hessian; at delta = 0.98 the logit scale is 0
         cfg = write_config(tmp_path / "c.yaml", dict(REF_PROBLEM, k=k, delta=delta))
         assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         report = json.loads((tmp_path / "o" / "spectrum.json").read_text())
-        sections = [s for s in report.values() if isinstance(s, dict) and "analytic" in s]
-        assert len(sections) == (1 if k == 2 else 2)
-        for section in sections:
-            analytic, numeric = section["analytic"], section["numeric"]
+        for name in ("feature_hessian", "classifier_hessian"):
+            analytic, numeric = report[name]["analytic"], report[name]["numeric"]
             assert analytic["degenerate"] is numeric["degenerate"] is True
             assert analytic["notes"] == numeric["notes"] and len(numeric["notes"]) == 1
 
@@ -180,6 +178,16 @@ class TestSweep:
                            "iters_to_eps", "nc1", "nc2", "nc3"]
         a_vals = [float(r[1]) for r in rows[1:]]
         assert a_vals == sorted(a_vals, reverse=True)
+
+    def test_k2_classifier_kappa_is_one(self, tmp_path):
+        # K = 2: one nonzero eigenvalue in each Hessian, so both condition numbers read 1
+        opt = dict(REF_OPTIMIZER, loss_tol=1e-6, max_iters=20000)
+        cfg = write_config(tmp_path / "c.yaml", dict(REF_PROBLEM, k=2), opt)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--deltas", "0,0.1"]) == 0
+        with open(tmp_path / "o" / "sweep.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(float(r["kappa_h"]), float(r["kappa_w"])) for r in rows] == [(1.0, 1.0)] * 2
 
     def test_deltas_from_config(self, tmp_path):
         opt = dict(REF_OPTIMIZER, loss_tol=1e-6, max_iters=20000)
@@ -219,6 +227,20 @@ class TestRace:
         assert wins >= 9
         report = json.loads((out / "race.json").read_text())
         assert report["smoothing_wins"] == wins
+
+    def test_counts_do_not_depend_on_loss_tol(self, tmp_path):
+        # Each run stops at its own target, 1e-4 of its initial gap, which a
+        # loss_tol of 1e-3 would otherwise cut short.
+        tables = []
+        for loss_tol in (1e-3, 1e-7):
+            cfg = write_config(tmp_path / f"c{loss_tol}.yaml", REF_PROBLEM,
+                               dict(REF_OPTIMIZER, loss_tol=loss_tol))
+            out = tmp_path / f"o{loss_tol}"
+            assert main(["race", "--config", cfg, "--out", str(out)]) == 0
+            tables.append((out / "race.csv").read_text())
+        assert tables[0] == tables[1]
+        rows = list(csv.DictReader(tables[0].splitlines()))
+        assert all(r["iters_ce"] and r["iters_ls"] for r in rows)
 
     def test_zero_delta_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.yaml", dict(RACE_PROBLEM, delta=0.0),

@@ -16,10 +16,12 @@ from ufmlab.closed_form import (
     minimizer_norms,
     minimizer_scales,
     optimal_loss,
+    s_axis,
     simplex_etf_core,
 )
 from ufmlab.core import gradient_norm, loss_and_grad, softmax_cols
 from ufmlab.nc_metrics import centered, class_means
+from ufmlab.spectral import analytic_classifier_hessian_spectrum, analytic_feature_hessian_spectrum
 
 from helpers import (
     CONFIG_GRID as GRID,
@@ -27,6 +29,17 @@ from helpers import (
     rotated_minimizer,
     solve_logit_scale_by_bisection,
 )
+
+
+EPS = np.finfo(float).eps
+# The 40-digit oracle's grid, s >= 1 included.
+S_GRID = [
+    ProblemConfig(K=K, n=n, d=K, delta=delta, lambda_w=lam, lambda_h=lam)
+    for K in (2, 3, 10, 100)
+    for n in (1, 5, 20)
+    for lam in (1e-8, 1e-6, 1e-3, 5e-3, 2e-2)
+    for delta in (0.0, 0.05, 0.1, 0.3, 0.5, 0.9, 0.98)
+]
 
 
 def minimizer_class_means(cfg: ProblemConfig) -> np.ndarray:
@@ -120,6 +133,52 @@ class TestOptimalLoss:
     def test_collapsed_optimum_is_log_k(self, cfg):
         assert logit_scale(cfg) == 0.0
         assert optimal_loss(cfg) == pytest.approx(math.log(cfg.K), rel=1e-15, abs=0.0)
+
+
+class TestFortyDigitOracle:
+    """a, p_t, p_n and L* against their formulas in s, evaluated at 40 digits
+    from the float s that the code uses, so only the code's own rounding shows."""
+
+    @staticmethod
+    def exact(cfg):
+        with decimal.localcontext(decimal.Context(prec=40)):
+            D = decimal.Decimal
+            K, s = D(cfg.K), D(s_axis(cfg))
+            a = (1 + K * (1 - s) / s).ln() / K
+            loss = ((1 + (K - 1) * s / (K * (1 - s) + s)).ln() + D(cfg.delta) * (K - 1) * a
+                    + a * K * (K - 1) * D(cfg.n).sqrt() * D(cfg.lambda_z))
+            return {"a": a, "p_t": (K * (1 - s) + s) / K, "p_n": s / K, "L*": loss,
+                    "kappa": K - (K - 1) * s}
+
+    @staticmethod
+    def rel_err(got: float, want) -> float:
+        """|got - want| / |want| in units of eps; 0 only for an exact 0."""
+        with decimal.localcontext(decimal.Context(prec=40)):
+            if want == 0:
+                return 0.0 if got == 0.0 else math.inf
+            return float(abs(decimal.Decimal(got) - want) / abs(want)) / EPS
+
+    @pytest.mark.parametrize("K", [2, 3, 10, 100])
+    def test_within_two_ulp(self, K):
+        cfgs = [cfg for cfg in S_GRID if cfg.K == K]
+        assert any(s_axis(cfg) == 1.0 for cfg in cfgs) and any(s_axis(cfg) < 1.0 for cfg in cfgs)
+        worst = dict.fromkeys(("a", "p_t", "p_n", "L*"), 0.0)
+        for cfg in cfgs:
+            want = self.exact(cfg)
+            got = dict(zip(("a", "p_t", "p_n", "L*"),
+                           (logit_scale(cfg), *class_probabilities(cfg), optimal_loss(cfg))))
+            for name in worst:
+                worst[name] = max(worst[name], self.rel_err(got[name], want[name]))
+            assert got["p_n"] == s_axis(cfg) / K
+        assert max(worst.values()) <= 2.0, worst
+
+    @pytest.mark.parametrize("K", [3, 10, 100])
+    def test_kappa_is_k_minus_k_minus_one_s(self, K):
+        for cfg in (c for c in S_GRID if c.K == K and s_axis(c) < 1.0):
+            want = self.exact(cfg)["kappa"]
+            for report in (analytic_feature_hessian_spectrum(cfg),
+                           analytic_classifier_hessian_spectrum(cfg)):
+                assert self.rel_err(report.condition_number, want) <= 4.0, cfg
 
 
 class TestMeanLogitMatrix:

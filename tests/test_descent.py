@@ -10,16 +10,14 @@ from ufmlab.closed_form import global_minimizer, mean_logit_matrix
 from ufmlab.descent import (
     DivergenceError,
     convergence_race,
-    Trajectory,
     delta_sweep,
     init_state,
-    iterations_to_epsilon,
     mean_logit_distance,
     run,
     run_stack,
 )
 
-from helpers import CONFIG_GRID, reference_losses
+from helpers import CONFIG_GRID, balancedness_step, iterations_to_epsilon, reference_losses
 
 
 REF_CFG = ProblemConfig(K=3, n=2, d=4, delta=0.1, lambda_w=5e-3, lambda_h=5e-3)
@@ -307,19 +305,26 @@ class TestRunStack:
         assert widths[0] == max(widths) == 5
 
 
-class TestIterationsToEpsilon:
-    def test_start_below_epsilon(self):
-        traj = run(*AT_OPTIMUM)
-        assert iterations_to_epsilon(traj, 1e-3) == 0
-
-    def test_synthetic_crossing(self):
-        losses = np.array([10.0, 9, 8, 7, 6, 5, 4, 0.5, 0.2, 0.1])
-        traj = Trajectory(loss_history=losses, optimal_value=0.0)
-        assert iterations_to_epsilon(traj, 1.0) == 7
-
-    def test_never_reached(self):
-        traj = Trajectory(loss_history=np.array([5.0, 4.0]), optimal_value=0.0)
-        assert iterations_to_epsilon(traj, 1e-6) is None
+class TestBalancednessLaw:
+    @pytest.mark.parametrize("cfg", [
+        ProblemConfig(K=10, n=5, d=12, delta=0.1),
+        ProblemConfig(K=3, n=2, d=4, delta=0.1, lambda_w=2e-3, lambda_h=5e-4, lambda_b=1e-2),
+        ProblemConfig(K=100, n=20, d=128, delta=0.1),
+        ProblemConfig(K=100, n=20, d=128, delta=0.1, lambda_w=1e-3, lambda_h=5e-3,
+                      lambda_b=2e-3),
+    ], ids=lambda c: f"K{c.K}-lam{c.lambda_w},{c.lambda_h},{c.lambda_b}")
+    def test_plain_step_obeys_the_law(self, cfg):
+        # The states after t and t + 1 steps come from two runs; at momentum 0
+        # step t + 1 depends on the state after t alone.
+        opt = replace(REF_OPT, momentum=0.0, loss_tol=1e-300, record_every=10**9)
+        t = 5
+        before = run(cfg, replace(opt, max_iters=t), compute_metrics=False)
+        after = run(cfg, replace(opt, max_iters=t + 1), compute_metrics=False)
+        assert np.array_equal(after.loss_history[: t + 1], before.loss_history)
+        W, H = after.final_state.W, after.final_state.H
+        WW, HH = W @ W.T, H @ H.T
+        rhs = balancedness_step(before.final_state, cfg, opt.learning_rate)
+        assert np.linalg.norm(WW - HH - rhs) <= 1e-14 * (np.linalg.norm(WW) + np.linalg.norm(HH))
 
 
 class TestRace:

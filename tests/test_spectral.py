@@ -93,10 +93,8 @@ class TestSpectrumReport:
         assert any(logit_scale(cfg) == 0.0 for cfg in RULE_GRID)
         for cfg in RULE_GRID:
             p_t, _ = class_probabilities(cfg)
-            reports = [analytic_feature_hessian_spectrum(cfg)]
-            if cfg.K >= 3:
-                reports.append(analytic_classifier_hessian_spectrum(cfg))
-            for report in reports:
+            for report in (analytic_feature_hessian_spectrum(cfg),
+                           analytic_classifier_hessian_spectrum(cfg)):
                 if logit_scale(cfg) == 0.0:
                     assert math.isnan(report.condition_number)
                 elif cfg.K == 2:
@@ -108,10 +106,9 @@ class TestSpectrumReport:
         for cfg in RULE_GRID:
             state = global_minimizer(cfg)
             cases = [(analytic_feature_hessian_spectrum(cfg),
-                      np.linalg.eigvalsh(numeric_hessian_features(state, cfg)))]
-            if cfg.K >= 3:
-                cases.append((analytic_classifier_hessian_spectrum(cfg),
-                              classifier_eigenvalues(state, cfg)))
+                      np.linalg.eigvalsh(numeric_hessian_features(state, cfg))),
+                     (analytic_classifier_hessian_spectrum(cfg),
+                      classifier_eigenvalues(state, cfg))]
             for analytic, vals in cases:
                 numeric = numeric_spectrum(vals)
                 assert numeric.degenerate is analytic.degenerate, cfg
@@ -149,6 +146,23 @@ class TestAnalyticSpectra:
             for dd in (0.0, 0.05, 0.1, 0.3)
         ]
         assert all(a > b for a, b in zip(kappas, kappas[1:]))
+
+    @pytest.mark.parametrize("cfg", [
+        ProblemConfig(K=2, n=2, d=2, delta=0.1),
+        ProblemConfig(K=2, n=1, d=3, delta=0.0, lambda_w=1e-3, lambda_h=2e-2),
+        ProblemConfig(K=2, n=5, d=4, delta=0.3, lambda_w=2e-2, lambda_h=2e-2, lambda_b=1e-3),
+        ProblemConfig(K=2, n=3, d=4, delta=0.05, lambda_w=1e-6, lambda_h=1e-6),
+    ], ids=lambda cfg: f"d{cfg.d}-delta{cfg.delta}-lam{cfg.lambda_w}")
+    def test_k2_classifier_matches_numeric(self, cfg):
+        # The (c p_n, -1) and (c p_n, +1) middle clusters cancel, leaving one nonzero eigenvalue.
+        analytic = analytic_classifier_hessian_spectrum(cfg)
+        numeric = numeric_spectrum(classifier_eigenvalues(global_minimizer(cfg), cfg))
+        dev, mults = compare_to_analytic(analytic, numeric)
+        assert mults and dev < 1e-8
+        assert [m for _, m in analytic.eigenpairs] == [2 * cfg.d - 1, 1]
+        for report in (analytic, numeric):
+            assert report.degenerate and report.condition_number == 1.0
+            assert report.notes == ["K=2: single nonzero eigenvalue, condition number trivially 1"]
 
     def test_k2_feature_degenerate_flag(self):
         report = analytic_feature_hessian_spectrum(ProblemConfig(K=2, n=2, d=3, delta=0.1))
@@ -306,7 +320,7 @@ def assert_matches_dense(state, cfg):
 class TestClassifierEigenvalues:
     def test_optimum_across_grid(self):
         # r = K - 1 < d at every optimum, so every case runs the reduced block
-        for cfg in (c for c in CONFIG_GRID if c.K >= 3):
+        for cfg in CONFIG_GRID:
             state = global_minimizer(cfg)
             assert len(numeric_hessian_classifier(state, cfg)) == cfg.K * (cfg.K - 1)
             assert_matches_dense(state, cfg)
