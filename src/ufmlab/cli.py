@@ -225,13 +225,13 @@ def cmd_optimize(args) -> int:
 
 
 def _spectrum_dict(report: spectral.SpectrumReport) -> dict:
-    pairs = [{"value": v, "multiplicity": m} for v, m in sorted(report.eigenpairs)]
+    pairs = [{"value": v, "multiplicity": m} for v, m in report.eigenpairs]
     return {**asdict(report), "eigenpairs": pairs}
 
 
 def _hessian_section(analytic: spectral.SpectrumReport, vals: np.ndarray) -> dict:
     """Analytic and numeric spectra of one Hessian from its eigenvalues."""
-    numeric = spectral.numeric_spectrum(vals)
+    numeric = spectral.SpectrumReport(vals, "numeric")
     dev, mults = spectral.compare_to_analytic(analytic, numeric)
     return {
         "analytic": _spectrum_dict(analytic),

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .closed_form import simplex_etf_core
+
 # Relative singular-value cutoff for the pseudo-inverse of Sigma_B.
 PINV_RCOND = 1e-10
 
@@ -58,10 +60,8 @@ def nc1(H: np.ndarray, means: np.ndarray):
 
 def nc2(W: np.ndarray, means: np.ndarray):
     """Distance of the normalized W^T Hbar to the normalized simplex ETF; NaN if W^T Hbar = 0."""
-    K = means.shape[-1]
-    etf = (np.eye(K) - np.ones((K, K)) / K) / np.sqrt(K - 1)
     M = np.swapaxes(W, -1, -2) @ centered(means)
-    return np.linalg.norm(_unit(M) - etf, axis=(-2, -1))
+    return np.linalg.norm(_unit(M) - _unit(simplex_etf_core(means.shape[-1])), axis=(-2, -1))
 
 
 def nc3(W: np.ndarray, means: np.ndarray):

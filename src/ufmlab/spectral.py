@@ -6,12 +6,14 @@ prediction vector.  For K >= 3 the condition number over the nonzero
 eigenvalues is K * p_t = K - (K - 1) s for both, which shrinks as the
 smoothing parameter grows; at K = 2 both have one nonzero eigenvalue, so
 both reports are degenerate with condition number 1.
+Analytic and numeric reports cluster every eigenvalue of their Hessian by
+one rule, and compare_to_analytic matches them eigenvalue by eigenvalue.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -32,22 +34,30 @@ DEGENERATE_NOTES = (
 
 @dataclass
 class SpectrumReport:
-    """Eigenvalues with multiplicities, and what they say about conditioning.
+    """Every eigenvalue of a Hessian, clustered, and what they say about conditioning.
 
-    The eigenvalues above ZERO_CUTOFF * lambda_max are the nonzero ones; the
-    condition number is lambda_max over the smallest of them (NaN when there
-    is none), and the report is degenerate when fewer than two distinct
-    eigenvalues are nonzero.
+    Runs of sorted values with steps of at most CLUSTER_REL_GAP * max |value| form clusters,
+    kept in eigenpairs as (first value + mean offset, count), ascending: a repeated value stays
+    exact.  Clusters above ZERO_CUTOFF * lambda_max are nonzero; the condition number is
+    lambda_max over the smallest of them (NaN if none); degenerate means fewer than two.
     """
 
-    eigenpairs: list[tuple[float, int]]
+    values: InitVar[np.ndarray]
+    eigenpairs: list[tuple[float, int]] = field(init=False)
     source: str
     condition_number: float = field(init=False)
     degenerate: bool = field(init=False)
     notes: list[str] = field(init=False)
 
-    def __post_init__(self):
-        lam_max = max(v for v, _ in self.eigenpairs)
+    def __post_init__(self, values):
+        vals = np.sort(np.asarray(values, dtype=float))
+        gap = CLUSTER_REL_GAP * max(abs(vals[0]), abs(vals[-1]))
+        starts = np.flatnonzero(np.diff(vals, prepend=-np.inf) > gap)
+        counts = np.diff(starts, append=len(vals))
+        offsets = vals - vals[np.repeat(starts, counts)]
+        means = vals[starts] + np.add.reduceat(offsets, starts) / counts
+        self.eigenpairs = [(float(m), int(c)) for m, c in zip(means, counts)]
+        lam_max = self.eigenpairs[-1][0]
         nonzero = [v for v, _ in self.eigenpairs if v > ZERO_CUTOFF * lam_max]
         self.condition_number = lam_max / min(nonzero) if nonzero else math.nan
         self.degenerate = len(nonzero) < 2
@@ -65,11 +75,8 @@ def analytic_feature_hessian_spectrum(cfg: ProblemConfig) -> SpectrumReport:
     K, d, N = cfg.K, cfg.d, cfg.N
     # W = c_w P (K I - 11^T) = g P (I - 11^T/K), with g = K c_w.
     g2 = (K * minimizer_scales(cfg)[0]) ** 2
-    pairs = [(0.0, 1 + d - K)]
-    if K > 2:
-        pairs.append((g2 * p_n / N, K - 2))
-    pairs.append((g2 * K * p_t * p_n / N, 1))
-    return SpectrumReport(pairs, "analytic")
+    values = [0.0, g2 * p_n / N, g2 * K * p_t * p_n / N]
+    return SpectrumReport(np.repeat(values, [1 + d - K, K - 2, 1]), "analytic")
 
 
 def analytic_classifier_hessian_spectrum(cfg: ProblemConfig) -> SpectrumReport:
@@ -77,12 +84,11 @@ def analytic_classifier_hessian_spectrum(cfg: ProblemConfig) -> SpectrumReport:
     K, d, s = cfg.K, cfg.d, s_axis(cfg)
     p_t, p_n = class_probabilities(cfg)
     c = K * minimizer_scales(cfg)[1] ** 2  # K c_h^2: the spectrum's prefactor
-    pairs = [(0.0, 2 * K - 1 + K * (d - K))]
+    pairs = [(0.0, 2 * K - 1 + K * (d - K)), (c * K * p_n * p_t, 1)]
     if K > 2:  # at K = 2 these two clusters are (c p_n, -1) and (c p_n, +1)
         # (1 - p_t + p_n) (p_n + (K - 1) p_t) / K, with 1 - p_t + p_n = s
         pairs += [(c * p_n, K * K - 3 * K + 1), (c * s * ((K - 2) * (1 - s) + 1) / K, K - 1)]
-    pairs.append((c * K * p_n * p_t, 1))
-    return SpectrumReport(pairs, "analytic")
+    return SpectrumReport(np.repeat(*zip(*pairs)), "analytic")
 
 
 def numeric_hessian_features(state: ModelState, cfg: ProblemConfig) -> np.ndarray:
@@ -125,34 +131,16 @@ def classifier_eigenvalues(state: ModelState, cfg: ProblemConfig) -> np.ndarray:
     return np.sort(np.concatenate([np.zeros(cfg.K * cfg.d - len(M)), vals]))
 
 
-def cluster_eigenvalues(values: np.ndarray) -> list[tuple[float, int]]:
-    """Group nearly equal eigenvalues; returns (mean, count) ascending."""
-    vals = np.sort(np.asarray(values, dtype=float))
-    lam_max = max(abs(vals[0]), abs(vals[-1]))
-    if lam_max == 0.0:
-        return [(0.0, len(vals))]
-    starts = np.flatnonzero(np.diff(vals, prepend=-np.inf) > CLUSTER_REL_GAP * lam_max)
-    counts = np.diff(starts, append=len(vals))
-    means = np.add.reduceat(vals, starts) / counts
-    return [(float(m), int(c)) for m, c in zip(means, counts)]
-
-
 def compare_to_analytic(analytic: SpectrumReport, numeric: SpectrumReport) -> tuple[float, bool]:
-    """Match the numeric report's clusters against the analytic pairs.
+    """Max relative deviation, eigenvalue by eigenvalue, and whether the cluster counts match.
 
-    Returns (max relative deviation, multiplicities matched).  Deviation
-    for a zero analytic eigenvalue is measured relative to lambda_max.
+    A zero analytic eigenvalue is measured against the analytic lambda_max (the numeric one,
+    at least 1, when that is 0 too).  Spectra of different dimensions raise ValueError.
     """
-    clusters = numeric.eigenpairs
-    pairs = sorted(analytic.eigenpairs)
-    lam_max = max(abs(v) for v, _ in pairs)
-    if lam_max == 0.0:
-        lam_max = max(max(abs(v) for v, _ in clusters), 1.0)
-    devs = [abs(num) / lam_max if ana == 0.0 else abs(num - ana) / abs(ana)
-            for (num, _), (ana, _) in zip(clusters, pairs)]
-    return max(devs, default=0.0), [m for _, m in clusters] == [m for _, m in pairs]
-
-
-def numeric_spectrum(vals: np.ndarray) -> SpectrumReport:
-    """Numeric report from the eigenvalues of an assembled Hessian."""
-    return SpectrumReport(cluster_eigenvalues(vals), "numeric")
+    (a_vals, a_counts), (n_vals, n_counts) = (zip(*r.eigenpairs) for r in (analytic, numeric))
+    ana, num = np.repeat(a_vals, a_counts), np.repeat(n_vals, n_counts)
+    if len(ana) != len(num):
+        raise ValueError(f"analytic spectrum has {len(ana)} eigenvalues, numeric {len(num)}")
+    lam_max = np.abs(ana).max() or max(np.abs(num).max(), 1.0)
+    dev = np.abs(num - ana) / np.where(ana == 0.0, lam_max, np.abs(ana))
+    return float(dev.max()), a_counts == n_counts

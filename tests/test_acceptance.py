@@ -18,12 +18,12 @@ from ufmlab.core import gradient_norm, loss_and_grad, softmax_cols
 from ufmlab.descent import run
 from ufmlab.nc_metrics import centered, class_means, nc1, nc2, nc3
 from ufmlab.spectral import (
+    SpectrumReport,
     analytic_classifier_hessian_spectrum,
     analytic_feature_hessian_spectrum,
     classifier_eigenvalues,
     compare_to_analytic,
     numeric_hessian_features,
-    numeric_spectrum,
 )
 from ufmlab.theory import CLAIMS
 
@@ -107,12 +107,12 @@ def test_criterion_4_hessian_spectra():
                 state = global_minimizer(cfg)
                 ana_h = analytic_feature_hessian_spectrum(cfg)
                 vals = np.linalg.eigvalsh(numeric_hessian_features(state, cfg))
-                dev, ok = compare_to_analytic(ana_h, numeric_spectrum(vals))
+                dev, ok = compare_to_analytic(ana_h, SpectrumReport(vals, "numeric"))
                 worst = max(worst, dev)
                 mults_ok &= ok
                 ana_w = analytic_classifier_hessian_spectrum(cfg)
                 vals = classifier_eigenvalues(state, cfg)
-                dev, ok = compare_to_analytic(ana_w, numeric_spectrum(vals))
+                dev, ok = compare_to_analytic(ana_w, SpectrumReport(vals, "numeric"))
                 worst = max(worst, dev)
                 mults_ok &= ok
     elapsed = time.monotonic() - start

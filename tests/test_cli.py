@@ -163,6 +163,14 @@ class TestSpectrum:
             analytic, numeric = report[name]["analytic"], report[name]["numeric"]
             assert analytic["degenerate"] is numeric["degenerate"] is True
             assert analytic["notes"] == numeric["notes"] and len(numeric["notes"]) == 1
+            assert report[name]["multiplicities_match"] is True
+
+    def test_dimension_mismatch_exit_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(spectral, "classifier_eigenvalues", lambda state, cfg: np.zeros(3))
+        cfg = write_config(tmp_path / "c.yaml", REF_PROBLEM)
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: analytic spectrum has 12 eigenvalues, numeric 3" in err
 
 
 class TestSweep:

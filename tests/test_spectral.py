@@ -14,11 +14,9 @@ from ufmlab.spectral import (
     analytic_classifier_hessian_spectrum,
     analytic_feature_hessian_spectrum,
     classifier_eigenvalues,
-    cluster_eigenvalues,
     compare_to_analytic,
     numeric_hessian_classifier,
     numeric_hessian_features,
-    numeric_spectrum,
     probability_laplacian,
 )
 
@@ -64,7 +62,8 @@ class TestProbabilityLaplacian:
 
 class TestSpectrumReport:
     def test_arithmetic(self):
-        report = SpectrumReport([(0.0, 1), (2.0, 2), (6.0, 1)], "numeric")
+        report = SpectrumReport([0.0, 2.0, 6.0, 2.0], "numeric")
+        assert report.eigenpairs == [(0.0, 1), (2.0, 2), (6.0, 1)]
         assert report.condition_number == pytest.approx(3.0)
         assert report.degenerate is False and report.notes == []
 
@@ -74,17 +73,17 @@ class TestSpectrumReport:
         report = analytic_feature_hessian_spectrum(cfg)
         assert report.condition_number == pytest.approx(4 * p_t, rel=1e-12)
         values, mults = zip(*report.eigenpairs)
-        numeric = numeric_spectrum(np.repeat(values, mults))
+        numeric = SpectrumReport(np.repeat(values, mults), "numeric")
         assert numeric.condition_number == pytest.approx(4 * p_t, rel=1e-9)
 
     def test_all_zero_is_degenerate(self):
-        report = SpectrumReport([(0.0, 2)], "numeric")
+        report = SpectrumReport([0.0, 0.0], "numeric")
         assert math.isnan(report.condition_number)
         assert report.degenerate is True
         assert report.notes == ["zero logit scale: all eigenvalues vanish"]
 
     def test_single_nonzero_is_degenerate(self):
-        report = SpectrumReport([(0.0, 3), (1e-12, 1), (0.5, 2)], "analytic")
+        report = SpectrumReport([0, 0, 0, 1e-12, 0.5, 0.5], "analytic")
         assert report.condition_number == 1.0
         assert report.degenerate is True
         assert report.notes == ["K=2: single nonzero eigenvalue, condition number trivially 1"]
@@ -110,7 +109,7 @@ class TestSpectrumReport:
                      (analytic_classifier_hessian_spectrum(cfg),
                       classifier_eigenvalues(state, cfg))]
             for analytic, vals in cases:
-                numeric = numeric_spectrum(vals)
+                numeric = SpectrumReport(vals, "numeric")
                 assert numeric.degenerate is analytic.degenerate, cfg
                 assert numeric.notes == analytic.notes, cfg
                 assert numeric.condition_number == pytest.approx(
@@ -156,7 +155,7 @@ class TestAnalyticSpectra:
     def test_k2_classifier_matches_numeric(self, cfg):
         # The (c p_n, -1) and (c p_n, +1) middle clusters cancel, leaving one nonzero eigenvalue.
         analytic = analytic_classifier_hessian_spectrum(cfg)
-        numeric = numeric_spectrum(classifier_eigenvalues(global_minimizer(cfg), cfg))
+        numeric = SpectrumReport(classifier_eigenvalues(global_minimizer(cfg), cfg), "numeric")
         dev, mults = compare_to_analytic(analytic, numeric)
         assert mults and dev < 1e-8
         assert [m for _, m in analytic.eigenpairs] == [2 * cfg.d - 1, 1]
@@ -188,7 +187,7 @@ class TestNumericHessians:
             state = global_minimizer(cfg)
             analytic = analytic_feature_hessian_spectrum(cfg)
             vals = np.linalg.eigvalsh(numeric_hessian_features(state, cfg))
-            dev, mults_ok = compare_to_analytic(analytic, numeric_spectrum(vals))
+            dev, mults_ok = compare_to_analytic(analytic, SpectrumReport(vals, "numeric"))
             assert dev < 1e-6 and mults_ok
 
     def test_numeric_matches_analytic_classifier(self):
@@ -198,7 +197,7 @@ class TestNumericHessians:
             state = global_minimizer(cfg)
             analytic = analytic_classifier_hessian_spectrum(cfg)
             vals = classifier_eigenvalues(state, cfg)
-            dev, mults_ok = compare_to_analytic(analytic, numeric_spectrum(vals))
+            dev, mults_ok = compare_to_analytic(analytic, SpectrumReport(vals, "numeric"))
             assert dev < 1e-6 and mults_ok
 
     def test_psd_at_optimum(self):
@@ -313,7 +312,8 @@ def assert_matches_dense(state, cfg):
     assert vals.shape == (cfg.K * cfg.d,) and np.all(np.diff(vals) >= 0)
     lam_max = max(abs(dense).max(), 1e-300)
     assert np.abs(vals - dense).max() <= 1e-12 * lam_max
-    assert [c for _, c in cluster_eigenvalues(vals)] == [c for _, c in cluster_eigenvalues(dense)]
+    counts = [[c for _, c in SpectrumReport(v, "numeric").eigenpairs] for v in (vals, dense)]
+    assert counts[0] == counts[1]
     return vals
 
 
@@ -348,14 +348,14 @@ class TestClassifierEigenvalues:
         vals = assert_matches_dense(state, cfg)
         if rank == 0:
             assert np.array_equal(vals, np.zeros(K * d))
-            assert numeric_spectrum(vals).degenerate
+            assert SpectrumReport(vals, "numeric").degenerate
 
 
 class TestNumericDegenerateFlag:
     def test_k2_optimum_degenerate(self):
         cfg = ProblemConfig(K=2, n=2, d=3, delta=0.1)
         vals = np.linalg.eigvalsh(numeric_hessian_features(global_minimizer(cfg), cfg))
-        report = numeric_spectrum(vals)
+        report = SpectrumReport(vals, "numeric")
         assert report.degenerate is True
         assert report.condition_number == 1.0
 
@@ -365,7 +365,7 @@ class TestNumericDegenerateFlag:
         state = global_minimizer(cfg)
         for vals in (np.linalg.eigvalsh(numeric_hessian_features(state, cfg)),
                      classifier_eigenvalues(state, cfg)):
-            report = numeric_spectrum(vals)
+            report = SpectrumReport(vals, "numeric")
             assert report.degenerate is False
             assert report.condition_number > 1.0
 
@@ -373,8 +373,44 @@ class TestNumericDegenerateFlag:
 class TestClustering:
     def test_cluster_counts(self):
         vals = np.array([0.0, 1e-17, 0.5, 0.5 + 1e-12, 2.0])
-        clusters = cluster_eigenvalues(vals)
+        clusters = SpectrumReport(vals, "numeric").eigenpairs
         assert [c for _, c in clusters] == [2, 2, 1]
 
     def test_all_zero(self):
-        assert cluster_eigenvalues(np.zeros(4)) == [(0.0, 4)]
+        assert SpectrumReport(np.zeros(4), "numeric").eigenpairs == [(0.0, 4)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(value=st.floats(-1e300, 1e300), count=st.integers(1, 50))
+    def test_repeated_value_is_kept_exactly(self, value, count):
+        # np.add.reduceat(vals, starts) / counts is not: 7 copies of 0.45906189476824555
+        # sum to a float whose seventh is one ulp off
+        assert SpectrumReport(np.full(count, value), "numeric").eigenpairs == [(value, count)]
+
+
+class TestCompareToAnalytic:
+    @pytest.mark.parametrize("K, d", [(3, 4), (10, 12)])
+    def test_zero_logit_scale_matches(self, K, d):
+        # s >= 1: every eigenvalue of both Hessians is 0, and the analytic formulas that
+        # vanish there form one cluster, as the numeric zeros do
+        cfg = ProblemConfig(K=K, n=2, d=d, delta=0.98)
+        assert logit_scale(cfg) == 0.0
+        state = global_minimizer(cfg)
+        cases = [(analytic_feature_hessian_spectrum(cfg),
+                  np.linalg.eigvalsh(numeric_hessian_features(state, cfg))),
+                 (analytic_classifier_hessian_spectrum(cfg), classifier_eigenvalues(state, cfg))]
+        for analytic, vals in cases:
+            numeric = SpectrumReport(vals, "numeric")
+            assert compare_to_analytic(analytic, numeric) == (0.0, True)
+            for report in (analytic, numeric):
+                assert report.degenerate
+                assert report.notes == ["zero logit scale: all eigenvalues vanish"]
+
+    def test_count_mismatch_reads_as_deviation(self):
+        analytic = SpectrumReport([1.0, 1.0, 2.0], "analytic")
+        numeric = SpectrumReport([1.0, 2.0, 2.0], "numeric")
+        assert compare_to_analytic(analytic, numeric) == (1.0, False)
+
+    def test_dimension_mismatch_raises(self):
+        analytic = SpectrumReport([1.0, 1.0, 2.0], "analytic")
+        with pytest.raises(ValueError, match="has 3 eigenvalues, numeric 2"):
+            compare_to_analytic(analytic, SpectrumReport([1.0, 1.0], "numeric"))
