@@ -47,9 +47,9 @@ class LogitDataset:
 
 @dataclass
 class Bin:
-    lower: float
-    upper: float
-    mean_confidence: float
+    bin_lower: float
+    bin_upper: float
+    confidence: float
     accuracy: float
     count: int
 
@@ -71,15 +71,15 @@ def reliability_bins(conf: np.ndarray, correct: np.ndarray, bins: int) -> list[B
     idx = np.minimum((conf * bins).astype(int), bins - 1)
     counts, conf_sums, correct_sums = (np.bincount(idx, weights=w, minlength=bins)
                                        for w in (None, conf, correct))
-    return [Bin(lower=b / bins, upper=(b + 1) / bins,
-                mean_confidence=float(c / n) if n else 0.0,
+    return [Bin(bin_lower=b / bins, bin_upper=(b + 1) / bins,
+                confidence=float(c / n) if n else 0.0,
                 accuracy=float(a / n) if n else 0.0, count=int(n))
             for b, (n, c, a) in enumerate(zip(counts, conf_sums, correct_sums))]
 
 
 def ece_from_bins(bins: list[Bin], M: int) -> float:
     return float(
-        sum(b.count / M * abs(b.accuracy - b.mean_confidence) for b in bins)
+        sum(b.count / M * abs(b.accuracy - b.confidence) for b in bins)
     )
 
 

@@ -107,14 +107,14 @@ def resolved_config_dict(cfg: ProblemConfig, opt: OptimizerConfig) -> dict:
             for name, obj in (("problem", cfg), ("optimizer", opt))}
 
 
-def write_csv(path: Path, header: list[str], rows):
-    """Header line plus one line per row; None is written as an empty field."""
+def write_csv(path: Path, row_type: type, rows):
+    """The field names of the dataclass row_type, then one line per row; None is an empty field."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow([f.name for f in fields(row_type)])
         for row in rows:
-            writer.writerow(["" if v is None else v for v in row])
+            writer.writerow(["" if v is None else v for v in astuple(row)])
 
 
 def write_report(path: Path, payload: dict):
@@ -127,14 +127,14 @@ def write_report(path: Path, payload: dict):
 def _publish(out: str, name: str, payload: dict, config=None, tables=(), lead="") -> int:
     """Write a command's outputs under out and print their paths after lead.
 
-    tables holds (file name, header, dataclass rows) CSV tables; the JSON
-    report <name>.json is payload plus format_version and, when config is
-    (cfg, opt), the resolved config.
+    tables holds (file name, row dataclass, rows) CSV tables, each headed by
+    its row dataclass's field names; the JSON report <name>.json is payload
+    plus format_version and, when config is (cfg, opt), the resolved config.
     """
     out, paths = Path(out), []
-    for filename, header, rows in tables:
+    for filename, row_type, rows in tables:
         paths.append(out / filename)
-        write_csv(paths[-1], header, map(astuple, rows))
+        write_csv(paths[-1], row_type, rows)
     paths.append(out / f"{name}.json")
     echo = {} if config is None else {"config": resolved_config_dict(*config)}
     write_report(paths[-1], {"format_version": FORMAT_VERSION, **echo, **payload})
@@ -201,11 +201,10 @@ def cmd_solve(args) -> int:
 
 def cmd_optimize(args) -> int:
     cfg, opt, _ = load_config(args.config, args.seed)
-    header = [f.name for f in fields(TrajectoryRow)]
     try:
         traj = descent.run(cfg, opt)
     except DivergenceError as exc:  # keep the partial trajectory; still exit 3
-        write_csv(Path(args.out) / "trajectory.csv", header, map(astuple, exc.rows))
+        write_csv(Path(args.out) / "trajectory.csv", TrajectoryRow, exc.rows)
         raise
     final = traj.rows[-1]
     return _publish(args.out, "optimize", {
@@ -221,7 +220,7 @@ def cmd_optimize(args) -> int:
         "final_nc3": final.nc3,
         "mean_logit_distance": descent.mean_logit_distance(traj.final_state, cfg),
     }, config=(cfg, opt),
-        tables=[("trajectory.csv", header, traj.rows)])
+        tables=[("trajectory.csv", TrajectoryRow, traj.rows)])
 
 
 def _spectrum_dict(report: spectral.SpectrumReport) -> dict:
@@ -277,7 +276,7 @@ def cmd_sweep(args) -> int:
     return _publish(args.out, "sweep", {
         "deltas": deltas,
         "degenerate_deltas": [r.delta for r in rows if r.degenerate],
-    }, config=(cfg, opt), tables=[("sweep.csv", [f.name for f in fields(SweepRow)], rows)])
+    }, config=(cfg, opt), tables=[("sweep.csv", SweepRow, rows)])
 
 
 def cmd_race(args) -> int:
@@ -292,7 +291,7 @@ def cmd_race(args) -> int:
         "rel_eps": descent.RACE_REL_EPS,
         "smoothing_wins": wins,
     }, config=(cfg, opt),
-        tables=[("race.csv", [f.name for f in fields(RaceRow)], rows)],
+        tables=[("race.csv", RaceRow, rows)],
         lead=f"smoothing won {wins}/{len(rows)} seeds; ")
 
 
@@ -317,18 +316,8 @@ def cmd_calibrate(args) -> int:
         holdout_fraction=args.holdout_fraction,
         seed=args.seed if args.seed is not None else 0,
     )
-    return _publish(args.out, "calibration", {
-        "bins": args.bins,
-        "ece": report.ece,
-        "accuracy": report.accuracy,
-        "mean_entropy": report.mean_entropy,
-        "temperature": report.temperature,
-        "nll_before": report.nll_before,
-        "nll_after": report.nll_after,
-        "temperature_flag": report.temperature_flag,
-        "samples": ds.M,
-    }, tables=[("reliability.csv",
-                ["bin_lower", "bin_upper", "confidence", "accuracy", "count"], report.bins)])
+    return _publish(args.out, "calibration", {**asdict(report), "bins": args.bins, "samples": ds.M},
+                    tables=[("reliability.csv", calibration.Bin, report.bins)])
 
 
 def cmd_check(args) -> int:
@@ -347,27 +336,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Unconstrained-feature-model laboratory for label smoothing",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for name, help_text in {
+        "solve": "closed-form minimizer report",
+        "optimize": "gradient-descent run with trajectory CSV",
+        "spectrum": "analytic vs numeric Hessian spectra",
+        "sweep": "smoothing-parameter sweep table",
+        "race": "descent race of delta = 0 against the config's delta",
+    }.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="YAML run config")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=_at_least(0), default=None, help="override optimizer seed")
-
-    p = sub.add_parser("solve", help="closed-form minimizer report")
-    add_common(p)
-
-    p = sub.add_parser("optimize", help="gradient-descent run with trajectory CSV")
-    add_common(p)
-
-    p = sub.add_parser("spectrum", help="analytic vs numeric Hessian spectra")
-    add_common(p)
-
-    p = sub.add_parser("sweep", help="smoothing-parameter sweep table")
-    add_common(p)
-    p.add_argument("--deltas", help="comma-separated smoothing values")
-
-    p = sub.add_parser("race", help="descent race of delta = 0 against the config's delta")
-    add_common(p)
+    sub.choices["sweep"].add_argument("--deltas", help="comma-separated smoothing values")
 
     p = sub.add_parser("calibrate", help="calibration report for (logits, labels)")
     p.add_argument("logits", help="headerless CSV, K rows x M columns")

@@ -91,8 +91,8 @@ def run(cfg: ProblemConfig, opt: OptimizerConfig, compute_metrics: bool = True) 
 
 # The reused arrays of one stack stay within this many bytes; longer member
 # lists run as successive stacks.  Stacking saves per-call overhead, which
-# only weighs on small problems: at K=10, n=5, d=12 over a hundred members
-# fit, from K=10, n=100, d=64 up one does.
+# only weighs on small problems: 94 members fit at K=10, n=5, d=12, and
+# from K=10, n=100, d=64 up one does.
 STACK_BYTES = 2**22
 
 

@@ -105,7 +105,7 @@ class TestReliabilityBins:
         occupied = [b for b in bins if b.count > 0]
         assert len(occupied) == 1
         assert occupied[0].count == 10
-        assert occupied[0].lower <= 0.25 <= occupied[0].upper
+        assert occupied[0].bin_lower <= 0.25 <= occupied[0].bin_upper
 
     def test_matches_per_sample_grouping(self):
         rng = np.random.default_rng(3)
@@ -114,13 +114,13 @@ class TestReliabilityBins:
         conf = P.max(axis=0)
         correct = P.argmax(axis=0) == ds.labels
         for b in ece(ds, 10).bins:
-            if b.upper == 1.0:
-                mask = (conf >= b.lower) & (conf <= b.upper)
+            if b.bin_upper == 1.0:
+                mask = (conf >= b.bin_lower) & (conf <= b.bin_upper)
             else:
-                mask = (conf >= b.lower) & (conf < b.upper)
+                mask = (conf >= b.bin_lower) & (conf < b.bin_upper)
             assert b.count == mask.sum()
             if b.count:
-                assert b.mean_confidence == pytest.approx(conf[mask].mean(), rel=1e-12)
+                assert b.confidence == pytest.approx(conf[mask].mean(), rel=1e-12)
                 assert b.accuracy == pytest.approx(correct[mask].mean(), rel=1e-12)
 
     def test_ece_recomputable_from_bins(self):
@@ -316,7 +316,7 @@ class TestShiftedKernels:
                 # the k members drawn from maybe are at least its k smallest, at most its k largest
                 low = math.fsum(sure + maybe[:k]) / got.count
                 high = math.fsum(sure + maybe[len(maybe) - k:]) / got.count
-                assert low * (1 - tol) <= got.mean_confidence <= high * (1 + tol)
+                assert low * (1 - tol) <= got.confidence <= high * (1 + tol)
 
     @given(st.integers(1, 300).flatmap(lambda M: st.tuples(
                arrays(float, M, elements=st.floats(0.0, 1.0)), arrays(bool, M))),
@@ -326,7 +326,7 @@ class TestShiftedKernels:
         conf, correct = data
         got = reliability_bins(conf, correct, bins)
         for b, (want, bin_) in enumerate(zip(old_reliability_bins(conf, correct, bins), got)):
-            assert (bin_.lower, bin_.upper) == (b / bins, (b + 1) / bins)
+            assert (bin_.bin_lower, bin_.bin_upper) == (b / bins, (b + 1) / bins)
             assert bin_.count == want[0] and bin_.accuracy == want[2]
-            assert bin_.mean_confidence == pytest.approx(want[1], rel=1e-12)
+            assert bin_.confidence == pytest.approx(want[1], rel=1e-12)
         assert len(got) == bins

@@ -12,7 +12,7 @@ import pytest
 import yaml
 
 import ufmlab
-from ufmlab import cli, descent, spectral
+from ufmlab import calibration, cli, descent, spectral
 from ufmlab.cli import load_config, main
 from ufmlab.core import softmax_cols
 
@@ -437,6 +437,26 @@ class TestReportEnvelope:
             f"wrote {out / 'reliability.csv'} and {out / 'calibration.json'}\n"
         report = json.loads((out / "calibration.json").read_text())
         assert report["format_version"] == 1 and "config" not in report
+        # CalibrationReport's fields, with bins as the bin count, plus samples
+        assert set(report) == ({f.name for f in fields(calibration.CalibrationReport)}
+                               | {"format_version", "samples"})
+        assert report["bins"] == 20 and report["samples"] == 60
+
+    TABLES = [(["optimize"], "trajectory.csv", descent.TrajectoryRow),
+              (["sweep", "--deltas", "0.1"], "sweep.csv", descent.SweepRow),
+              (["race"], "race.csv", descent.RaceRow),
+              (["calibrate"], "reliability.csv", calibration.Bin)]
+
+    @pytest.mark.parametrize("command, filename, row_type", TABLES, ids=[t[1] for t in TABLES])
+    def test_every_csv_is_headed_by_its_row_type(self, tmp_path, command, filename, row_type):
+        if command[0] == "calibrate":
+            paths = TestCalibrate().make_files(tmp_path, np.random.default_rng(5))[:2]
+        else:
+            paths = ["--config", write_config(tmp_path / "c.yaml", self.PROBLEM, self.OPTIMIZER)]
+        out = tmp_path / "o"
+        assert main([command[0], *paths, "--out", str(out), *command[1:]]) == 0
+        with open(out / filename, newline="") as fh:
+            assert next(csv.reader(fh)) == [f.name for f in fields(row_type)]
 
 
 class TestCalibrate:

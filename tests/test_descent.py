@@ -271,6 +271,29 @@ class TestRunStack:
         assert traj.rows[-1].iter == opt.max_iters
         assert seen["peak"] - seen["base"] < cfg.K * cfg.N * 8
 
+    @pytest.mark.parametrize("K, n, d", [(10, 5, 12), (10, 100, 64), (100, 20, 128)])
+    def test_member_bytes_is_what_a_member_allocates(self, K, n, d):
+        # The arrays of a one-member stack, as run_stack builds them, after one pass;
+        # the untraced first build keeps one-off allocations out of the count.
+        cfg = ProblemConfig(K=K, n=n, d=d, delta=0.1)
+
+        def build():
+            ws = core.Workspace([cfg])
+            flat = np.stack([init_state(cfg, REF_OPT).ravel()])
+            vel = np.zeros_like(flat)
+            core.loss_and_grad(flat, ws)
+            return ws, flat, vel
+
+        build()
+        tracemalloc.start()
+        try:
+            arrays = build()  # alive while the traced memory is read
+            traced = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        del arrays
+        assert 0 <= traced - descent.member_bytes(cfg) <= 16_000
+
     def test_diverging_member_is_named(self):
         # lr * lambda far above the heavy-ball stability bound 2 (1 + momentum).
         bad = replace(REF_CFG, delta=0.3, lambda_w=20.0, lambda_h=20.0)
