@@ -4,13 +4,15 @@ Expected calibration error with equal-width confidence bins, reliability
 bin statistics, temperature scaling fitted by negative log-likelihood,
 and average prediction entropy, all from the logits shifted once by their
 column maxima (LogitDataset.shifted): no pass builds a probability matrix.
+A LogitDataset owns the logit array it is given and shifts it in place: it is the
+only K x M copy of the logits, and each exp pass adds one K x M scratch.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -21,28 +23,29 @@ T_SEARCH_TOL = 1e-4
 @dataclass
 class LogitDataset:
     """Finite float logit columns (K x M, M >= 1) with their 0-based integer labels
-    in [0, K), as cmd_calibrate checks them; shifted is S = logits minus each
-    column's max (S <= 0, a 0 in each column), shifted_at_label is S[y_j, j]."""
+    in [0, K), as cmd_calibrate checks them. It owns logits and shifts them in place
+    into shifted, S = logits minus each column's max (S <= 0, a 0 at each column's max),
+    so a caller that reads its logits again passes a copy; shifted_at_label is S[y_j, j]."""
 
-    logits: np.ndarray
+    logits: InitVar[np.ndarray]
     labels: np.ndarray
     shifted: np.ndarray = field(init=False, repr=False)
     shifted_at_label: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        self.shifted = self.logits - self.logits.max(axis=0)
+    def __post_init__(self, logits):
+        self.shifted = np.subtract(logits, logits.max(axis=0), out=logits)
         self.shifted_at_label = self.shifted[self.labels, np.arange(self.M)]
 
     def subset(self, idx: np.ndarray) -> LogitDataset:
         """The columns idx; a column's max is its own, so their shift is gathered, not redone."""
         sub = copy.copy(self)
-        sub.logits, sub.labels, sub.shifted, sub.shifted_at_label = (
-            a[..., idx] for a in (self.logits, self.labels, self.shifted, self.shifted_at_label))
+        sub.labels, sub.shifted, sub.shifted_at_label = (
+            a[..., idx] for a in (self.labels, self.shifted, self.shifted_at_label))
         return sub
 
     @property
     def M(self) -> int:
-        return self.logits.shape[1]
+        return self.shifted.shape[1]
 
 
 @dataclass
@@ -90,8 +93,9 @@ def ece(ds: LogitDataset, bins: int = 20) -> CalibrationReport:
     S = 0, so the confidence is 1 / s, the entropy is log s - sum(E S) / s,
     and the NLL at T = 1 (nll_before) is mean(log s) - mean(S_y).
     """
-    # argmax over axis 0 copies the logits; done first, the copy is freed before E exists.
-    correct = ds.logits.argmax(axis=0) == ds.labels
+    # Distinct finite floats never subtract to 0: a column's first zero in S is its first max,
+    # found on a bool mask (freed before E exists) instead of a transposed copy of the logits.
+    correct = np.argmax(ds.shifted == 0, axis=0) == ds.labels
     E = np.exp(ds.shifted)
     s = E.sum(axis=0)
     bin_list = reliability_bins(1.0 / s, correct, bins)

@@ -308,6 +308,7 @@ def cmd_calibrate(args) -> int:
                           f"{args.logits} has {logits.shape[1]} columns")
     if np.any(labels < 0) or np.any(labels >= K):
         raise ConfigError(f"label file {args.labels}: labels must lie in 1..{K} ({K} logit rows)")
+    # ds owns logits from here: it shifts them in place, and nothing below reads them again
     ds = calibration.LogitDataset(logits, labels)
     report = calibration.calibration_report(
         ds,

@@ -206,24 +206,24 @@ def test_criterion_10_calibration_oracles():
 
     logits = np.array([logit_pair(0.9), logit_pair(0.9),
                        logit_pair(0.6), logit_pair(0.6)]).T
-    ds_hand = LogitDataset(logits, np.array([0, 1, 0, 0]))
+    ds_hand = LogitDataset(logits.copy(), np.array([0, 1, 0, 0]))  # it shifts its array in place
     expected_ece = 0.5 * abs(0.5 - 0.9) + 0.5 * abs(1.0 - 0.6)
     hand_report = ece(ds_hand, bins=10)
     ece_ok = hand_report.ece == pytest.approx(expected_ece, rel=1e-12)
 
-    P = softmax_cols(ds_hand.logits)
+    P = softmax_cols(logits)
     expected_entropy = np.mean([-(P[:, j] * np.log(P[:, j])).sum() for j in range(4)])
     entropy_ok = hand_report.mean_entropy == pytest.approx(expected_entropy, rel=1e-12)
 
-    ds = LogitDataset(4.0 * rng.standard_normal((4, 300)),
-                      rng.integers(0, 4, size=300))
+    logits = 4.0 * rng.standard_normal((4, 300))
+    ds = LogitDataset(logits.copy(), rng.integers(0, 4, size=300))
     T, _, _ = fit_temperature(ds, nll(ds, 1.0))
     grid = np.exp(np.linspace(math.log(0.05), math.log(20.0), 2000))
     T_grid = grid[int(np.argmin([nll(ds, t) for t in grid]))]
     resolution = math.log(20.0 / 0.05) / 1999
     grid_ok = abs(math.log(T) - math.log(T_grid)) < 2 * resolution
 
-    acc_ok = np.array_equal(softmax_cols(ds.logits).argmax(axis=0),
-                            softmax_cols(ds.logits / T).argmax(axis=0))
+    acc_ok = np.array_equal(softmax_cols(logits).argmax(axis=0),
+                            softmax_cols(logits / T).argmax(axis=0))
     report(10, ece_ok and entropy_ok and grid_ok and acc_ok,
            f"ECE/entropy oracles exact, T={T:.3f} matches grid, accuracy preserved")

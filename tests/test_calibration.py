@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,10 +20,10 @@ from ufmlab.calibration import (
 from ufmlab.core import softmax_cols
 
 
-def brute_force_ece(ds: LogitDataset, bins: int) -> float:
-    P = softmax_cols(ds.logits)
+def brute_force_ece(logits: np.ndarray, labels: np.ndarray, bins: int) -> float:
+    P = softmax_cols(logits)
     conf = P.max(axis=0)
-    correct = P.argmax(axis=0) == ds.labels
+    correct = P.argmax(axis=0) == labels
     total = 0.0
     for b in range(bins):
         lo, hi = b / bins, (b + 1) / bins
@@ -32,14 +33,22 @@ def brute_force_ece(ds: LogitDataset, bins: int) -> float:
             mask = (conf >= lo) & (conf < hi)
         if mask.sum() == 0:
             continue
-        total += mask.sum() / ds.M * abs(correct[mask].mean() - conf[mask].mean())
+        total += mask.sum() / len(labels) * abs(correct[mask].mean() - conf[mask].mean())
     return total
 
 
-def random_dataset(rng, K=4, M=200, sharpness=2.0):
+def random_logits(rng, K=4, M=200, sharpness=2.0):
     logits = sharpness * rng.standard_normal((K, M))
-    labels = rng.integers(0, K, size=M)
-    return LogitDataset(logits, labels)
+    return logits, rng.integers(0, K, size=M)
+
+
+def random_dataset(rng, K=4, M=200, sharpness=2.0):
+    return LogitDataset(*random_logits(rng, K, M, sharpness))
+
+
+def owned(logits: np.ndarray, labels: np.ndarray) -> LogitDataset:
+    """A dataset over a copy of logits: LogitDataset shifts the array it is given in place."""
+    return LogitDataset(logits.copy(), labels)
 
 
 class TestECE:
@@ -70,18 +79,19 @@ class TestECE:
     def test_matches_brute_force_random(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
-            ds = random_dataset(rng)
-            assert ece(ds, bins=20).ece == pytest.approx(
-                brute_force_ece(ds, 20), abs=1e-12
+            logits, labels = random_logits(rng)
+            assert ece(owned(logits, labels), bins=20).ece == pytest.approx(
+                brute_force_ece(logits, labels, 20), abs=1e-12
             )
 
     def test_depends_only_on_confidence_correctness(self):
         # reconstruct the value from (confidence, correct) pairs alone
         rng = np.random.default_rng(1)
-        ds = random_dataset(rng, K=5, M=150)
-        P = softmax_cols(ds.logits)
+        logits, labels = random_logits(rng, K=5, M=150)
+        ds = owned(logits, labels)
+        P = softmax_cols(logits)
         conf = P.max(axis=0)
-        correct = P.argmax(axis=0) == ds.labels
+        correct = P.argmax(axis=0) == labels
         bins = 20
         idx = np.minimum((conf * bins).astype(int), bins - 1)
         total = 0.0
@@ -109,10 +119,11 @@ class TestReliabilityBins:
 
     def test_matches_per_sample_grouping(self):
         rng = np.random.default_rng(3)
-        ds = random_dataset(rng)
-        P = softmax_cols(ds.logits)
+        logits, labels = random_logits(rng)
+        ds = owned(logits, labels)
+        P = softmax_cols(logits)
         conf = P.max(axis=0)
-        correct = P.argmax(axis=0) == ds.labels
+        correct = P.argmax(axis=0) == labels
         for b in ece(ds, 10).bins:
             if b.bin_upper == 1.0:
                 mask = (conf >= b.bin_lower) & (conf <= b.bin_upper)
@@ -138,10 +149,10 @@ class TestTemperature:
         logits = 2.0 * rng.standard_normal((4, 300))
         P = softmax_cols(logits)
         labels = np.array([rng.choice(4, p=P[:, j]) for j in range(300)])
-        ds = LogitDataset(logits, labels)
+        ds = owned(logits, labels)
         T1, _, _ = fit_temperature(ds, nll(ds, 1.0))
         c = 2.5
-        scaled = LogitDataset(c * ds.logits, ds.labels)
+        scaled = LogitDataset(c * logits, labels)
         T2, _, _ = fit_temperature(scaled, nll(scaled, 1.0))
         assert 0.05 < c * T1 < 20.0
         assert T2 == pytest.approx(c * T1, rel=1e-3)
@@ -172,10 +183,11 @@ class TestTemperature:
 
     def test_accuracy_preserved(self):
         rng = np.random.default_rng(8)
-        ds = random_dataset(rng)
+        logits, labels = random_logits(rng)
+        ds = owned(logits, labels)
         T, _, _ = fit_temperature(ds, nll(ds, 1.0))
-        pred_before = softmax_cols(ds.logits).argmax(axis=0)
-        pred_after = softmax_cols(ds.logits / T).argmax(axis=0)
+        pred_before = softmax_cols(logits).argmax(axis=0)
+        pred_after = softmax_cols(logits / T).argmax(axis=0)
         assert np.array_equal(pred_before, pred_after)
 
     def test_ece_usually_improves(self):
@@ -183,10 +195,11 @@ class TestTemperature:
         improved = 0
         trials = 20
         for _ in range(trials):
-            ds = random_dataset(rng, K=3, M=400, sharpness=6.0)
+            logits, labels = random_logits(rng, K=3, M=400, sharpness=6.0)
+            ds = owned(logits, labels)
             before = ece(ds, bins=15).ece
             T, _, _ = fit_temperature(ds, nll(ds, 1.0))
-            after = ece(LogitDataset(ds.logits / T, ds.labels), bins=15).ece
+            after = ece(LogitDataset(logits / T, labels), bins=15).ece
             improved += after <= before + 1e-12
         assert improved >= 0.9 * trials
 
@@ -204,8 +217,9 @@ class TestEntropy:
 
     def test_matches_per_sample_summation(self):
         rng = np.random.default_rng(10)
-        ds = random_dataset(rng, K=3, M=20)
-        P = softmax_cols(ds.logits)
+        logits, labels = random_logits(rng, K=3, M=20)
+        ds = owned(logits, labels)
+        P = softmax_cols(logits)
         expected = np.mean([-(P[:, j] * np.log(P[:, j])).sum() for j in range(20)])
         assert ece(ds).mean_entropy == pytest.approx(expected, rel=1e-12)
 
@@ -245,14 +259,15 @@ class TestReport:
 
 
 @st.composite
-def logit_datasets(draw):
-    """K in [2, 12], M in [1, 300], logits within +-700 (rounded half the time, for ties)."""
+def logit_arrays(draw):
+    """(logits, labels): K in [2, 12], M in [1, 300], logits within +-700 (rounded half
+    the time, for ties)."""
     K, M = draw(st.integers(2, 12)), draw(st.integers(1, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     logits = draw(st.floats(0.0, 700.0)) * rng.uniform(-1.0, 1.0, (K, M))
     if draw(st.booleans()):
         logits = np.round(logits)
-    return LogitDataset(logits, rng.integers(0, K, M))
+    return logits, rng.integers(0, K, M)
 
 
 def per_sample_softmax(z: np.ndarray) -> list[float]:
@@ -275,22 +290,26 @@ def old_reliability_bins(conf, correct, bins):
 
 
 class TestShiftedKernels:
-    @given(logit_datasets(), st.floats(0.05, 20.0))
+    @given(logit_arrays(), st.floats(0.05, 20.0))
     @settings(max_examples=60, deadline=None)
-    def test_nll_matches_per_sample_log_sum_exp(self, ds, T):
+    def test_nll_matches_per_sample_log_sum_exp(self, data, T):
+        logits, labels = data
+        ds = owned(logits, labels)
         terms = []
-        for z, y in zip(ds.logits.T / T, ds.labels):
+        for z, y in zip(logits.T / T, labels):
             m = max(z)
             terms.append(m + math.log(math.fsum(math.exp(x - m) for x in z)) - z[y])
         assert nll(ds, T) == pytest.approx(math.fsum(terms) / ds.M, rel=1e-9, abs=1e-12)
 
-    @given(logit_datasets(), st.integers(1, 30))
+    @given(logit_arrays(), st.integers(1, 30))
     # The reference confidence is 0.4999999999999999, one ulp below ece's 0.5.
-    @example(LogitDataset(np.array([[0.0], [0.0], [-36.5], [-36.5]]), np.array([0])), 2)
+    @example((np.array([[0.0], [0.0], [-36.5], [-36.5]]), np.array([0])), 2)
     @settings(max_examples=60, deadline=None)
-    def test_ece_matches_per_sample_softmax(self, ds, bins):
+    def test_ece_matches_per_sample_softmax(self, data, bins):
+        logits, labels = data
+        ds = owned(logits, labels)
         conf, correct, entropy = [], [], []
-        for z, y in zip(ds.logits.T, ds.labels):
+        for z, y in zip(logits.T, labels):
             p = per_sample_softmax(z)
             conf.append(max(p))
             correct.append(max(range(len(z)), key=lambda k: z[k]) == y)
@@ -330,3 +349,60 @@ class TestShiftedKernels:
             assert bin_.count == want[0] and bin_.accuracy == want[2]
             assert bin_.confidence == pytest.approx(want[1], rel=1e-12)
         assert len(got) == bins
+
+
+# Columns whose maxima tie: repeated, +0.0 against -0.0, constant, at K = 2 and M = 1.
+# A label on a later copy of its column's max is a wrong prediction: argmax takes the first.
+TIED_LOGITS = [
+    ([[1.0, 3.0, 2.0, -4.0, 7.0],
+      [3.0, 3.0, 0.0, -4.0, 7.0],
+      [3.0, 1.0, 2.0, -5.0, 7.0]], [1, 0, 2, 1, 2]),
+    ([[-0.0, 0.0, -0.0, -1.0],
+      [0.0, -0.0, -0.0, 0.0],
+      [-1.0, -3.0, -0.0, -0.0]], [1, 0, 2, 1]),
+    (np.full((3, 4), 2.5), [0, 1, 2, 0]),
+    ([[1.0, 2.0, 2.0, -0.0], [2.0, 1.0, 2.0, 0.0]], [0, 0, 1, 0]),
+    ([[0.5], [0.5], [0.1]], [1]),
+]
+
+
+class TestPrediction:
+    @staticmethod
+    def check_matches_argmax(logits, labels, bins):
+        logits, labels = np.array(logits, dtype=float), np.array(labels)
+        reference = logits.copy()  # LogitDataset shifts logits in place
+        correct = reference.argmax(axis=0) == labels
+        report = ece(LogitDataset(logits, labels), bins)
+        conf = 1.0 / np.exp(reference - reference.max(axis=0)).sum(axis=0)
+        assert report.accuracy == correct.mean()
+        assert [b.accuracy for b in report.bins] == [
+            b.accuracy for b in reliability_bins(conf, correct, bins)]
+
+    @pytest.mark.parametrize("logits, labels", TIED_LOGITS)
+    @pytest.mark.parametrize("bins", [1, 3, 20])
+    def test_tied_maxima_predict_the_first(self, logits, labels, bins):
+        self.check_matches_argmax(logits, labels, bins)
+
+    @given(st.integers(2, 5).flatmap(lambda K: st.integers(1, 40).flatmap(lambda M: st.tuples(
+               arrays(float, (K, M), elements=st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0])),
+               arrays(int, M, elements=st.integers(0, K - 1))))),
+           st.integers(1, 10))
+    @settings(max_examples=100, deadline=None)
+    def test_few_values_predict_as_argmax(self, data, bins):
+        self.check_matches_argmax(*data, bins)
+
+
+class TestMemory:
+    def test_a_report_holds_one_copy_of_the_logits(self):
+        rng = np.random.default_rng(14)
+        logits, labels = random_logits(rng, K=10, M=20_000)
+        tracemalloc.start()
+        try:
+            ds = LogitDataset(logits, labels)
+            calibration_report(ds, bins=20, fit_T=True, holdout_fraction=0.2, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the matrix was allocated before tracing; each exp pass adds one K x M scratch
+        assert peak <= 2.0 * logits.nbytes
+        assert ds.shifted is logits
